@@ -51,6 +51,16 @@ convention: sym-dual
 
 VARIETY_NAMES = (BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES)
 
+# Largest representation dimension that multiplicity and filtration accept,
+# checked before any operator is built.  169 is the largest benchmarked cell,
+# ((12,1),(12,1)).  Measured at this bound on one core of a 2-vCPU Intel Xeon
+# under Python 3.11: that cell's multiplicity takes 0.2 s, the slowest label
+# shape, forms (168,0) whose reflection carries binomial coefficients, takes
+# about 20 s, and filtration output at dimension 169 is 12 MB (213 MB peak
+# RSS).  The label 200,0;200,0 (dimension 40401) would need eight dense
+# 40401^2 operators.
+MAX_REP_DIM = 169
+
 
 class CliError(Exception):
     """Input-level failure, reported on stderr with exit code 2."""
@@ -89,6 +99,17 @@ def _parse_label(text: str) -> object:
     raise CliError(f"bad label {text!r}: expected 'n,m' or 'n,m;n2,m2'")
 
 
+def _check_rep_dim(label: object, what: str) -> None:
+    """Reject a label whose representation dimension exceeds MAX_REP_DIM."""
+    if isinstance(label[0], tuple):  # type: ignore[index]
+        (n, _), (n2, _) = label  # type: ignore[misc]
+        dim = max(n + 1, 0) * max(n2 + 1, 0)
+    else:
+        dim = max(label[0] + 1, 0)  # type: ignore[index]
+    if dim > MAX_REP_DIM:
+        raise CliError(f"{what} needs representation dimension {dim}, above the bound {MAX_REP_DIM}")
+
+
 def _parse_grid(text: str) -> dict[str, range]:
     out = {}
     for piece in text.split(","):
@@ -120,9 +141,13 @@ def _load_variety(args: argparse.Namespace):
     return builtin_variety(name)
 
 
-def _grid_from_args(spec_group: str, args: argparse.Namespace) -> list[object]:
+def _grid_from_args(spec_group: str, args: argparse.Namespace, bounded: bool = False) -> list[object]:
     ranges = _parse_grid(args.grid)
-    return grid_labels(spec_group, ranges["n"], ranges["m"], ranges.get("n2"), ranges.get("m2"))
+    n, n2 = ranges["n"], ranges.get("n2", ranges["n"])
+    if bounded and n and n2:
+        # the largest n (and n2) gives the grid's largest representation
+        _check_rep_dim((n[-1], 0) if spec_group == "GL2" else ((n[-1], 0), (n2[-1], 0)), f"grid {args.grid!r}")
+    return grid_labels(spec_group, n, ranges["m"], ranges.get("n2"), ranges.get("m2"))
 
 
 def _print_table(rows: list[tuple[object, int]], fmt: str) -> None:
@@ -166,6 +191,7 @@ def _cmd_gr(args: argparse.Namespace) -> int:
 
 def _cmd_filtration(args: argparse.Namespace) -> int:
     label = _parse_label(args.label)
+    _check_rep_dim(label, f"label {args.label!r}")
     if args.mu is not None:
         try:
             mu = tuple(int(c) for c in args.mu.split(","))
@@ -199,11 +225,12 @@ def _cmd_multiplicity(args: argparse.Namespace) -> int:
     spec = _load_variety(args)
     if args.label is not None:
         label = _parse_label(args.label)
+        _check_rep_dim(label, f"label {args.label!r}")
         print(multiplicity(rep_from_label(spec.group, label), spec, args.h_style))
         return 0
     if args.grid is None:
         raise CliError("multiplicity needs --label or --grid")
-    rows = multiplicity_table(spec, _grid_from_args(spec.group, args), args.h_style)
+    rows = multiplicity_table(spec, _grid_from_args(spec.group, args, bounded=True), args.h_style)
     _print_table(rows, args.format)
     return 0
 

@@ -52,10 +52,31 @@ class GradedVectorSpace:
 
 @dataclass(frozen=True)
 class FilteredSpace:
-    """Sparse normalized filtration; build through make_filtered."""
+    """Sparse normalized filtration.
+
+    make_filtered builds one from arbitrary steps; direct construction must
+    already be normalized.  The checks here are O(steps): ambient dimensions,
+    strictly increasing indices, strictly decreasing nonzero step dimensions
+    and a full first step.  Nestedness is the caller's promise (make_filtered
+    checks it), so equal normalized filtrations compare equal.
+    """
 
     dim: int
     steps: tuple[tuple[int, Subspace], ...]
+
+    def __post_init__(self) -> None:
+        for idx, sub in self.steps:
+            if sub.ambient_dim != self.dim:
+                raise AmbientMismatch(f"step has ambient dimension {sub.ambient_dim}, expected {self.dim}")
+            if sub.dim() == 0:
+                raise ValueError(f"zero step stored at index {idx}")
+        for (i, hi), (j, lo) in zip(self.steps, self.steps[1:]):
+            if j <= i:
+                raise ValueError(f"step indices {i}, {j} are not strictly increasing")
+            if lo.dim() >= hi.dim():
+                raise ValueError(f"F({j}) is not strictly smaller than F({i})")
+        if self.dim > 0 and (not self.steps or not self.steps[0][1].is_full()):
+            raise NotExhaustive("filtration never equals the full space")
 
     def at(self, i: int) -> Subspace:
         """F(i): the value stored at the smallest index >= i, else zero."""
@@ -89,8 +110,6 @@ def make_filtered(dim: int, steps: Mapping[int, Subspace]) -> FilteredSpace:
             normalized.append((idx, sub))
     while normalized and normalized[-1][1].dim() == 0:
         normalized.pop()
-    if dim > 0 and (not normalized or not normalized[0][1].is_full()):
-        raise NotExhaustive("filtration never equals the full space")
     return FilteredSpace(dim, tuple(normalized))
 
 

@@ -6,6 +6,13 @@ linear maps intertwining every paired constraint and mapping each
 filtration step into the corresponding step of the target; their dimension
 is the kernel dimension of one assembled rational linear system.
 
+The system uses the weight structure.  A constraint pair that is diagonal
+on both sides (the torus part, in a weight basis) lets an entry f[r, c]
+be nonzero only where the two eigenvalues agree, so the other entries are
+never made variables and such pairs contribute no equations.  The other
+constraints and the filtration conditions are assembled over the
+surviving entries only; solutions are put back among the zero entries.
+
 The multiplicity of a representation in the coordinate ring of one of the
 built-in examples is the Hom dimension from the object carrying its
 cocharacter filtrations and stabilizer constraints to the analogous object
@@ -14,6 +21,7 @@ of the trivial representation.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -47,45 +55,71 @@ def _check_shapes(a: FiltObject, b: FiltObject) -> None:
         raise ValueError("objects carry different numbers of equivariance constraints")
 
 
-def _hom_system(a: FiltObject, b: FiltObject) -> Mat:
-    """Linear system on vec(f), f a (dim_b x dim_a) matrix stored row-major."""
+def _is_diagonal(m: Mat) -> bool:
+    return not any(x for i in range(m.rows) for j, x in enumerate(m.row(i)) if j != i)
+
+
+def _hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, list[int]]:
+    """Linear system on the entries of f, a (dim_b x dim_a) matrix, that no
+    diagonal constraint pair forces to zero; also returns those entries'
+    row-major flat indices, in order, one per column of the system.
+
+    For a pair with both matrices diagonal, f ka = kb f at entry (r, c)
+    reads f[r, c] (ka[c, c] - kb[r, r]) = 0, so such pairs contribute no
+    rows: they only decide which entries are variables at all.  The other
+    pairs and the filtration conditions give rows over those variables;
+    rows that vanish on them are dropped.
+    """
     da, db = a.rep.dim, b.rep.dim
-    nvars = da * db
+    diagonal: list[tuple[Mat, Mat]] = []
+    general: list[tuple[Mat, Mat]] = []
+    for ka, kb in zip(a.h_action.intertwiner_constraints, b.h_action.intertwiner_constraints):
+        (diagonal if _is_diagonal(ka) and _is_diagonal(kb) else general).append((ka, kb))
+
+    cols_by_eigen: dict[tuple[Fraction, ...], list[int]] = {}
+    for c in range(da):
+        cols_by_eigen.setdefault(tuple(ka.at(c, c) for ka, _ in diagonal), []).append(c)
+    free = [(r, c) for r in range(db) for c in cols_by_eigen.get(tuple(kb.at(r, r) for _, kb in diagonal), ())]
+    var = {rc: k for k, rc in enumerate(free)}
+
+    zero = Fraction(0)
     rows: list[list[Fraction]] = []
 
-    def var(r: int, c: int) -> int:
-        return r * da + c
+    def emit(coeffs: dict[int, Fraction]) -> None:
+        if any(coeffs.values()):
+            row = [zero] * len(free)
+            for k, x in coeffs.items():
+                row[k] = x
+            rows.append(row)
 
-    for ka, kb in zip(a.h_action.intertwiner_constraints, b.h_action.intertwiner_constraints):
-        # f ka = kb f, one equation per output entry (i, j)
-        for i in range(db):
-            for j in range(da):
-                row = [Fraction(0)] * nvars
-                for c in range(da):
-                    row[var(i, c)] += ka.at(c, j)
-                for r in range(db):
-                    row[var(r, j)] -= kb.at(i, r)
-                rows.append(row)
+    for ka, kb in general:
+        # f ka = kb f, one equation per output entry: variable f[r, c] enters
+        # equation (r, j) with ka[c, j] and equation (i, c) with -kb[i, r]
+        equations: dict[tuple[int, int], dict[int, Fraction]] = defaultdict(dict)
+        for k, (r, c) in enumerate(free):
+            for j, x in enumerate(ka.row(c)):
+                if x != 0:
+                    equations[r, j][k] = x
+            for i in range(db):
+                x = kb.at(i, r)
+                if x != 0:
+                    equations[i, c][k] = equations[i, c].get(k, zero) - x
+        for coeffs in equations.values():
+            emit(coeffs)
 
     for fa, fb in zip(a.filtrations, b.filtrations):
         for p in fa.jumps():
             ann = fb.at(p).annihilator_matrix()
-            if ann.rows == 0:
+            ann_rows = [[(r, x) for r, x in enumerate(ann.row(u)) if x != 0] for u in range(ann.rows)]
+            if not ann_rows:
                 continue
             for v in fa.at(p).basis:
+                v_nonzero = [(c, x) for c, x in enumerate(v) if x != 0]
                 # annihilator rows of the target step kill f v
-                for u in range(ann.rows):
-                    row = [Fraction(0)] * nvars
-                    for r in range(db):
-                        urow = ann.at(u, r)
-                        if urow == 0:
-                            continue
-                        for c in range(da):
-                            if v[c] != 0:
-                                row[var(r, c)] += urow * v[c]
-                    rows.append(row)
+                for u_nonzero in ann_rows:
+                    emit({var[r, c]: ur * vc for r, ur in u_nonzero for c, vc in v_nonzero if (r, c) in var})
 
-    return Mat.from_rows(rows, nvars)
+    return Mat.from_rows(rows, len(free)), [r * da + c for r, c in free]
 
 
 def hom_dim(a: FiltObject, b: FiltObject) -> int:
@@ -99,17 +133,30 @@ def hom_dim(a: FiltObject, b: FiltObject) -> int:
         return 1
     if a.rep.dim == 0 or b.rep.dim == 0:
         return 0
-    return a.rep.dim * b.rep.dim - rank(_hom_system(a, b))
+    system, free = _hom_system(a, b)
+    return len(free) - rank(system)
 
 
 def hom_basis(a: FiltObject, b: FiltObject) -> list[Mat]:
-    """Matrices spanning the Hom space (empty for zero-dimensional objects)."""
+    """Matrices spanning the Hom space (empty for zero-dimensional objects).
+
+    Each kernel vector is put back in place among the entries forced to
+    zero; inserting zero coordinates keeps an echelon basis canonical, so
+    this is the echelon basis of the Hom space inside all dim_b x dim_a
+    matrices.
+    """
     _check_shapes(a, b)
     if a.rep.dim == 0 or b.rep.dim == 0:
         return []
     da, db = a.rep.dim, b.rep.dim
-    sol = kernel(_hom_system(a, b))
-    return [Mat(db, da, tuple(v)) for v in sol.basis]
+    system, free = _hom_system(a, b)
+    out = []
+    for v in kernel(system).basis:
+        entries = [Fraction(0)] * (da * db)
+        for k, x in zip(free, v):
+            entries[k] = x
+        out.append(Mat(db, da, tuple(entries)))
+    return out
 
 
 def filt_object(rep: RepData, spec: VarietySpec, style: str = H_STYLE_LIE_PLUS_ELEMENTS) -> FiltObject:

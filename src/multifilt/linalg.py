@@ -97,12 +97,13 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise AmbientMismatch("shape mismatch in matrix sum")
-        return Mat(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        # a zero right entry keeps the left one: operators are mostly zeros
+        return Mat(self.rows, self.cols, tuple(a + b if b else a for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise AmbientMismatch("shape mismatch in matrix difference")
-        return Mat(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return Mat(self.rows, self.cols, tuple(a - b if b else a for a, b in zip(self.entries, other.entries)))
 
     def scale(self, c: object) -> "Mat":
         c = frac(c)
@@ -119,14 +120,19 @@ def vstack(a: Mat, b: Mat) -> Mat:
 
 
 def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product; index of the left factor varies slowest."""
-    out = []
+    """Kronecker product; index of the left factor varies slowest.
+
+    Zero entries on either side are copied rather than multiplied, so the
+    many zeros of sparse operators cost no arithmetic and share one object.
+    """
+    out: list[Fraction] = []
+    zero_row = (Fraction(0),) * b.cols
     for i in range(a.rows):
+        a_row = a.row(i)
         for k in range(b.rows):
-            for j in range(a.cols):
-                aij = a.at(i, j)
-                for l in range(b.cols):
-                    out.append(aij * b.at(k, l))
+            b_row = b.row(k)
+            for aij in a_row:
+                out.extend([aij * x if x else x for x in b_row] if aij else zero_row)
     return Mat(a.rows * b.rows, a.cols * b.cols, tuple(out))
 
 

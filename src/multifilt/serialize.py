@@ -66,10 +66,6 @@ def vector_from_json(value: Any, path: str) -> tuple[Fraction, ...]:
     return tuple(rat_from_json(x, f"{path}[{i}]") for i, x in enumerate(_expect_list(value, path)))
 
 
-def matrix_to_json(m: Mat) -> list[list[str]]:
-    return [vector_to_json(m.row(i)) for i in range(m.rows)]
-
-
 def matrix_from_json(value: Any, path: str) -> Mat:
     rows = [vector_from_json(r, f"{path}[{i}]") for i, r in enumerate(_expect_list(value, path))]
     if not rows:
@@ -128,19 +124,6 @@ def graded_module_from_json(value: Any, path: str = "$") -> GradedFreeModule:
 
 def graded_space_to_json(g: GradedVectorSpace) -> dict:
     return {str(n): d for n, d in g.pieces}
-
-
-def rep_to_json(rep: RepData) -> dict:
-    if rep.label is not None and rep.label != "trivial":
-        label = rep.label
-        if isinstance(label[0], tuple):
-            return {"group": "GL2xGL2", "label": [list(label[0]), list(label[1])]}
-        return {"group": "GL2", "label": list(label)}
-    return {
-        "dim": rep.dim,
-        "weights": [list(w) for w in rep.weights],
-        "ops": [matrix_to_json(op) for op in rep.action_ops],
-    }
 
 
 def rep_from_json(value: Any, path: str = "$") -> RepData:

@@ -5,6 +5,11 @@ it induces the decreasing filtration
 
     F(i) = span of the weight spaces with -<mu, weight> >= i.
 
+Representations are given in a weight basis, so every step is the
+coordinate subspace of the basis indices whose pairing clears the
+threshold: the filtration is a coordinate flag and is built directly,
+with no elimination.
+
 Boundary cocharacters are inputs here, never derived: the two built-in
 examples carry them explicitly, together with the weights of the ambient
 module (used by the character oracle) and a stabilizer recipe (used by the
@@ -32,9 +37,10 @@ Conventions pinned by the built-ins (printed by the CLI as well):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .filtration import FilteredSpace, make_filtered
+from .filtration import FilteredSpace
 from .gl2 import (
     GroupActionData,
     H_STYLE_LIE_PLUS_ELEMENTS,
@@ -52,7 +58,10 @@ BINARY_QUADRATIC_FORMS = "BinaryQuadraticForms"
 TWO_BY_TWO_MATRICES = "TwoByTwoMatrices"
 CUSTOM = "Custom"
 
-StabilizerRecipe = Callable[[RepData, str], GroupActionData]
+# Forward references by name: typing caches subscripted aliases with strong
+# references to their arguments, which would keep every re-imported copy of
+# these classes (and through them the whole package) alive.
+StabilizerRecipe = Callable[["RepData", str], "GroupActionData"]
 
 
 def pairing(mu: Cocharacter, chi: Weight) -> int:
@@ -63,19 +72,22 @@ def pairing(mu: Cocharacter, chi: Weight) -> int:
 
 
 def cocharacter_filtration(rep: RepData, mu: Cocharacter) -> FilteredSpace:
-    """The filtration F(i) = sum of weight spaces with -<mu, weight> >= i."""
+    """The filtration F(i) = sum of weight spaces with -<mu, weight> >= i.
+
+    The basis is a weight basis, so every step is a coordinate subspace and
+    its unit vectors, in index order, are already its canonical echelon
+    basis.  Each attained value is a jump, because its own basis vectors
+    leave the step above it.
+    """
+    dim = rep.dim
     values = [-pairing(mu, chi) for chi in rep.weights]
-    steps = {}
-    for v in sorted(set(values)):
-        rows = [_unit(rep.dim, b) for b in range(rep.dim) if values[b] >= v]
-        steps[v] = Subspace.span(rep.dim, rows)
-    return make_filtered(rep.dim, steps)
-
-
-def _unit(dim: int, b: int) -> list[int]:
-    row = [0] * dim
-    row[b] = 1
-    return row
+    zero, one = Fraction(0), Fraction(1)
+    units = [(zero,) * b + (one,) + (zero,) * (dim - b - 1) for b in range(dim)]
+    steps = tuple(
+        (v, Subspace(dim, tuple(units[b] for b in range(dim) if values[b] >= v)))
+        for v in sorted(set(values))
+    )
+    return FilteredSpace(dim, steps)
 
 
 @dataclass(frozen=True)

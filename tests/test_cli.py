@@ -142,3 +142,21 @@ def test_h_style_flag(capsys):
     code, out, _ = _run(capsys, ["--h-style", "lie_plus_elements", "multiplicity", "--variety", "BinaryQuadraticForms", "--label", "2,1"])
     assert code == 0
     assert out.strip() == "0"
+
+
+def test_oversized_labels_rejected_before_building(capsys):
+    import time
+
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["multiplicity", "--variety", "TwoByTwoMatrices", "--label", "200,0;200,0"])
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert "40401" in err and "bound 169" in err
+
+    code, _, err = _run(capsys, ["multiplicity", "--variety", "BinaryQuadraticForms", "--grid", "n=0..300,m=0..1"])
+    assert code == 2 and "bound 169" in err
+    code, _, err = _run(capsys, ["filtration", "--label", "0,0;169,0", "--mu", "1,1,0,-1"])
+    assert code == 2 and "bound 169" in err
+    # the bound itself is accepted
+    code, out, _ = _run(capsys, ["multiplicity", "--variety", "TwoByTwoMatrices", "--label", "12,1;12,1"])
+    assert code == 0 and out.strip() == "1"

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from multifilt.filtration import (
+    FilteredSpace,
     GradedVectorSpace,
     NotDecreasing,
     NotExhaustive,
@@ -131,3 +132,20 @@ def test_adapted_basis_round_trip_random():
         for i in fs.jumps():
             rebuilt = Subspace.span(fs.dim, [v for v, lvl in tagged if lvl >= i])
             assert rebuilt == fs.at(i)
+
+
+def test_direct_construction_must_be_normalized():
+    full, x_axis = Subspace.full(2), line(2, [1, 0])
+    assert FilteredSpace(2, ((0, full), (1, x_axis))) == make_filtered(2, {0: full, 1: x_axis})
+    assert FilteredSpace(0, ()) == make_filtered(0, {})
+    bad = [
+        ((0, full), (1, Subspace.zero(2))),  # zero step
+        ((0, full), (1, x_axis), (2, x_axis)),  # repeated subspace
+        ((0, x_axis),),  # first step not full
+        (),  # nothing full in a nonzero space
+        ((1, full), (0, x_axis)),  # indices not increasing
+        ((0, full), (1, line(3, [1, 0, 0]))),  # ambient mismatch
+    ]
+    for steps in bad:
+        with pytest.raises(ValueError):
+            FilteredSpace(2, steps)

@@ -102,3 +102,25 @@ def test_custom_stabilizer_table():
     missing = irrep_gl2(1, 0)
     with pytest.raises(ValueError):
         spec.stabilizer_action(missing)
+
+
+def test_reimport_releases_the_previous_copy():
+    # nothing outside the package may pin its classes: a process that imports
+    # it afresh must be able to free the old copy
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import gc, sys, weakref\n"
+        "import multifilt\n"
+        "old = weakref.ref(multifilt.Mat)\n"
+        "del multifilt\n"
+        "for name in [n for n in sys.modules if n.split('.')[0] == 'multifilt']:\n"
+        "    del sys.modules[name]\n"
+        "import multifilt\n"
+        "gc.collect()\n"
+        "sys.exit(0 if old() is None else 1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -1,0 +1,117 @@
+"""Cross-checks of the weight-structured Hom solver and coordinate-flag
+filtrations against the plain constructions in reference_paths."""
+
+import random
+
+import pytest
+
+from multifilt import homspaces
+from multifilt.gl2 import GroupActionData, RepData, rep_from_label
+from multifilt.homspaces import FiltObject, grid_labels, hom_basis, hom_dim
+from multifilt.linalg import Mat
+from multifilt.varieties import (
+    BINARY_QUADRATIC_FORMS,
+    TWO_BY_TWO_MATRICES,
+    builtin_variety,
+    cocharacter_filtration,
+)
+from multifilt.verify import random_filt_object_pair, random_filtered_space
+from reference_paths import reference_cocharacter_filtration, reference_hom_basis, reference_hom_dim
+
+
+def _diag(*entries):
+    return Mat.from_rows([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
+
+
+def _object(constraints, filtrations=()):
+    dim = constraints[0].rows
+    return FiltObject(RepData(dim, ((0, 0),) * dim, ()), GroupActionData(dim, tuple(constraints)), tuple(filtrations))
+
+
+def _assert_matches_reference(a, b):
+    assert hom_dim(a, b) == reference_hom_dim(a, b)
+    assert hom_basis(a, b) == reference_hom_basis(a, b)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 19, 37, 71])
+def test_random_pairs_match_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        _assert_matches_reference(*random_filt_object_pair(rng, max_dim=5))
+
+
+def test_one_sided_diagonal_pairs_do_not_prune():
+    upper = Mat.from_rows([[1, 1], [0, 2]])
+    lower = Mat.from_rows([[1, 0], [3, 2]])
+    cases = [
+        (_object([_diag(1, 2)]), _object([upper])),
+        (_object([upper]), _object([_diag(2, 1)])),
+        (_object([lower]), _object([upper])),
+    ]
+    for a, b in cases:
+        _, free = homspaces._hom_system(a, b)
+        assert free == list(range(4))
+        _assert_matches_reference(a, b)
+    # a genuinely diagonal pair still prunes next to a one-sided one
+    a = _object([_diag(1, 2), upper])
+    b = _object([_diag(2, 5), _diag(1, 2)])
+    _, free = homspaces._hom_system(a, b)
+    assert free == [1]
+    _assert_matches_reference(a, b)
+
+
+def test_fully_pruned_systems_are_zero():
+    rng = random.Random(5)
+    flag3 = random_filtered_space(rng, dim=3)
+    flag2 = random_filtered_space(rng, dim=2)
+    cases = [
+        (_object([_diag(1, 1, 1)]), _object([_diag(2, 2)])),
+        (_object([_diag(0, 1, 2)], [flag3]), _object([_diag(3, 4)], [flag2])),
+        (_object([_diag(1, 2), Mat.from_rows([[0, 1], [0, 0]])]), _object([_diag(3, 3), Mat.zero(2, 2)])),
+    ]
+    for a, b in cases:
+        assert homspaces._hom_system(a, b)[1] == []
+        assert hom_dim(a, b) == 0 and hom_basis(a, b) == []
+        _assert_matches_reference(a, b)
+
+
+def test_one_solve_per_call_even_when_empty(monkeypatch):
+    # the system handed to the solver is the one whose shape gets reported
+    seen = []
+    real_rank, real_kernel = homspaces.rank, homspaces.kernel
+    monkeypatch.setattr(homspaces, "rank", lambda m: seen.append(("rank", m.cols)) or real_rank(m))
+    monkeypatch.setattr(homspaces, "kernel", lambda m: seen.append(("kernel", m.cols)) or real_kernel(m))
+    a, b = _object([_diag(1, 1)]), _object([_diag(2, 2, 2)])
+    assert hom_dim(a, b) == 0 and hom_basis(a, b) == []
+    assert seen == [("rank", 0), ("kernel", 0)]
+
+
+def _assert_filtration_matches(rep, mu):
+    assert cocharacter_filtration(rep, mu) == reference_cocharacter_filtration(rep, mu)
+
+
+def test_filtrations_match_reference_on_paper_grids():
+    forms = builtin_variety(BINARY_QUADRATIC_FORMS)
+    for label in grid_labels("GL2", range(0, 9), range(-6, 7)):
+        _assert_filtration_matches(rep_from_label("GL2", label), forms.boundary_cocharacters[0])
+    matrices = builtin_variety(TWO_BY_TWO_MATRICES)
+    for label in grid_labels("GL2xGL2", range(0, 5), range(-2, 4)):
+        _assert_filtration_matches(rep_from_label("GL2xGL2", label), matrices.boundary_cocharacters[0])
+
+
+def test_filtrations_match_reference_on_large_cells():
+    mu = builtin_variety(TWO_BY_TWO_MATRICES).boundary_cocharacters[0]
+    for n in range(0, 9):
+        _assert_filtration_matches(rep_from_label("GL2xGL2", ((n, 1), (n, 1))), mu)
+
+
+def test_filtrations_match_reference_on_random_weights():
+    rng = random.Random(41)
+    for _ in range(300):
+        rank_ = rng.randint(1, 4)
+        dim = rng.randint(0, 8)
+        # a narrow range repeats weights and pairing values often
+        weights = tuple(tuple(rng.randint(-2, 2) for _ in range(rank_)) for _ in range(dim))
+        mu = tuple(rng.randint(-2, 2) for _ in range(rank_))
+        _assert_filtration_matches(RepData(dim, weights, ()), mu)
+
