@@ -138,32 +138,35 @@ def coordinate_ring_character(spec: "VarietySpec", d: int) -> WeightMultiset:
     return sym_power_weights(weight_multiset(dual), d)
 
 
-def oracle_multiplicity(spec: "VarietySpec", label: object, max_degree: int | None = None) -> int:
-    """Multiplicity of a labeled irreducible in the coordinate ring.
+def oracle_degrees(spec: "VarietySpec", label: object, max_degree: int | None = None) -> range:
+    """Coordinate-ring degrees that oracle_multiplicity decomposes for a label.
 
     When every generator weight has the same nonzero coordinate sum, a label
-    can only appear in the single degree matching its own weight sum; that
-    degree is computed directly and the answer is exact with no bound
-    needed (a given max_degree still truncates).  Otherwise degrees are
-    scanned up to max_degree, which is then required.
+    can only appear in the single degree matching its own weight sum (or in
+    none), so no bound is needed; a given max_degree still truncates.
+    Otherwise every degree up to max_degree is scanned, which is then
+    required.
     """
-    dual = tuple(sorted(tuple(-c for c in w) for w in spec.x_module_weights))
     target = label_weight_sum(label)
-    sums = {sum(w) for w in dual}
+    sums = {-sum(w) for w in spec.x_module_weights}
     if len(sums) == 1 and 0 not in sums:
         s = sums.pop()
-        if target % s != 0:
-            return 0
         d = target // s
-        if d < 0 or (max_degree is not None and d > max_degree):
-            return 0
-        return _degree_decomposition(dual, d).get(_normalize_label(label), 0)
+        if target % s != 0 or d < 0 or (max_degree is not None and d > max_degree):
+            return range(0)
+        return range(d, d + 1)
     if max_degree is None:
         raise ValueError("generator weight sums do not determine the degree; pass max_degree")
-    total = 0
-    for d in range(max_degree + 1):
-        total += _degree_decomposition(dual, d).get(_normalize_label(label), 0)
-    return total
+    return range(max_degree + 1)
+
+
+def oracle_multiplicity(spec: "VarietySpec", label: object, max_degree: int | None = None) -> int:
+    """Multiplicity of a labeled irreducible in the coordinate ring, summed
+    over the degrees that oracle_degrees names; exact with no bound when
+    the generator weight sums determine the degree."""
+    dual = tuple(sorted(tuple(-c for c in w) for w in spec.x_module_weights))
+    key = _normalize_label(label)
+    return sum(_degree_decomposition(dual, d).get(key, 0) for d in oracle_degrees(spec, label, max_degree))
 
 
 def _normalize_label(label: object) -> object:

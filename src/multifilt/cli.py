@@ -13,7 +13,7 @@ import sys
 from typing import Sequence
 
 from . import serialize
-from .characters import oracle_multiplicity
+from .characters import oracle_degrees, oracle_multiplicity
 from .filtration import associated_graded
 from .gl2 import H_STYLE_LIE_PLUS_ELEMENTS, H_STYLES, rep_from_label
 from .homspaces import grid_labels, hom_dim, multiplicity, multiplicity_table
@@ -56,10 +56,19 @@ VARIETY_NAMES = (BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES)
 # ((12,1),(12,1)).  Measured at this bound on one core of a 2-vCPU Intel Xeon
 # under Python 3.11: that cell's multiplicity takes 0.2 s, the slowest label
 # shape, forms (168,0) whose reflection carries binomial coefficients, takes
-# about 20 s, and filtration output at dimension 169 is 12 MB (213 MB peak
+# about 2.5 s, and filtration output at dimension 169 is 12 MB (213 MB peak
 # RSS).  The label 200,0;200,0 (dimension 40401) would need eight dense
 # 40401^2 operators.
 MAX_REP_DIM = 169
+
+# Largest coordinate-ring degree that oracle decomposes, checked before any
+# character work.  The degree is the one a label's weight sum determines, or
+# the --max-degree value when the weight sums do not determine it.  Measured
+# on the same host: the slowest built-in, 2x2 matrices ((d,0),(d,0)), takes
+# 0.45 s at degree 40, 3.5 s (48 MB peak RSS) at 80 and 8.9 s (76 MB) at 100,
+# growing faster than d^3; binary forms (2d,0) take 2.4 s at degree 200 and
+# 16 s at 400.
+MAX_ORACLE_DEGREE = 80
 
 
 class CliError(Exception):
@@ -108,6 +117,13 @@ def _check_rep_dim(label: object, what: str) -> None:
         dim = max(label[0] + 1, 0)  # type: ignore[index]
     if dim > MAX_REP_DIM:
         raise CliError(f"{what} needs representation dimension {dim}, above the bound {MAX_REP_DIM}")
+
+
+def _check_oracle_degree(spec, labels: list[object], max_degree: int | None, what: str) -> None:
+    """Reject labels whose coordinate-ring degree exceeds MAX_ORACLE_DEGREE."""
+    degree = max((oracle_degrees(spec, label, max_degree).stop - 1 for label in labels), default=-1)
+    if degree > MAX_ORACLE_DEGREE:
+        raise CliError(f"{what} needs coordinate-ring degree {degree}, above the bound {MAX_ORACLE_DEGREE}")
 
 
 def _parse_grid(text: str) -> dict[str, range]:
@@ -238,11 +254,14 @@ def _cmd_multiplicity(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     spec = _load_variety(args)
     if args.label is not None:
-        print(oracle_multiplicity(spec, _parse_label(args.label), args.max_degree))
+        label = _parse_label(args.label)
+        _check_oracle_degree(spec, [label], args.max_degree, f"label {args.label!r}")
+        print(oracle_multiplicity(spec, label, args.max_degree))
         return 0
     if args.grid is None:
         raise CliError("oracle needs --label or --grid")
     labels = sorted(_grid_from_args(spec.group, args))
+    _check_oracle_degree(spec, labels, args.max_degree, f"grid {args.grid!r}")
     rows = [(label, oracle_multiplicity(spec, label, args.max_degree)) for label in labels]
     _print_table(rows, args.format)
     return 0

@@ -125,10 +125,14 @@ def sym_power_matrix(g: Mat, n: int) -> Mat:
         raise ValueError("the symmetric-power degree n must be nonnegative")
     if g.rows != 2 or g.cols != 2:
         raise ValueError("sym_power_matrix expects a 2x2 matrix")
-    a, b, c, d = g.at(0, 0), g.at(0, 1), g.at(1, 0), g.at(1, 1)
+    entries = (g.at(0, 0), g.at(0, 1), g.at(1, 0), g.at(1, 1))
+    if all(x.denominator == 1 for x in entries):
+        # integral g: expand in ints; from_rows coerces to Fractions once
+        entries = tuple(x.numerator for x in entries)
+    a, b, c, d = entries
     rows = []
     for i in range(n + 1):
-        poly = [Fraction(1)]  # coefficients on x^(deg-j) y^j
+        poly = [1]  # coefficients on x^(deg-j) y^j
         for _ in range(n - i):
             poly = _mul_linear(poly, a, b)
         for _ in range(i):
@@ -137,9 +141,9 @@ def sym_power_matrix(g: Mat, n: int) -> Mat:
     return Mat.from_rows(rows, n + 1)
 
 
-def _mul_linear(poly: list[Fraction], u: Fraction, v: Fraction) -> list[Fraction]:
+def _mul_linear(poly: list, u: int | Fraction, v: int | Fraction) -> list:
     # multiply a binary form, coefficients on x^(deg-j) y^j, by (u x + v y)
-    out = [Fraction(0)] * (len(poly) + 1)
+    out = [0] * (len(poly) + 1)
     for j, coeff in enumerate(poly):
         out[j] += u * coeff
         out[j + 1] += v * coeff

@@ -3,17 +3,26 @@
 Matrices are dense, immutable and carry ``Fraction`` entries.  Subspaces are
 stored by their reduced row echelon basis, so two equal subspaces have equal
 representations and ``==`` is a genuine subspace equality test.
+
+Elimination runs on integers.  Each row is scaled by the lcm of its
+denominators and reduced fraction-free on Python ints; rank stops at the
+echelon form, and the canonical ``Fraction`` reduced row echelon form is
+produced only at the boundary, by dividing each pivot row by its pivot once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 QQ = Fraction
 
 Vector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class AmbientMismatch(ValueError):
@@ -25,7 +34,7 @@ def frac(x: object) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        return _ZERO if x == 0 else _ONE if x == 1 else Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
@@ -82,7 +91,7 @@ class Mat:
     def matvec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise AmbientMismatch(f"matrix has {self.cols} columns, vector has length {len(v)}")
-        return tuple(sum((self.at(i, j) * v[j] for j in range(self.cols)), Fraction(0)) for i in range(self.rows))
+        return tuple(sum([x * y for x, y in zip(self.row(i), v) if x and y], _ZERO) for i in range(self.rows))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -136,31 +145,73 @@ def kron(a: Mat, b: Mat) -> Mat:
     return Mat(a.rows * b.rows, a.cols * b.cols, tuple(out))
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns.  Row space is preserved."""
-    rows = m.row_list()
+def _int_rows(m: Mat) -> list[list[int]]:
+    """The rows of m, each scaled by the lcm of its denominators and divided
+    by its content: primitive integer rows spanning the same row space."""
+    out = []
+    for i in range(m.rows):
+        row = m.row(i)
+        den = lcm(*[x.denominator for x in row])
+        ints = [x.numerator * (den // x.denominator) for x in row] if den != 1 else [x.numerator for x in row]
+        g = gcd(*ints)
+        out.append([x // g for x in ints] if g > 1 else ints)
+    return out
+
+
+def _eliminate(rows: list[list[int]], cols: int, reduced: bool) -> list[int]:
+    """Fraction-free row reduction of primitive integer rows, in place.
+
+    In each column the pivot is the first nonzero row at or below the current
+    one.  Every other row with a nonzero entry there becomes the integer
+    combination that cancels it, divided by its content.  Such a row spans
+    the same line as the row Bareiss's method would hold, so its entries are
+    no larger than minors of the integer matrix.  Only rows below the pivot
+    are cleared unless ``reduced``, which clears the rows above too and
+    leaves each pivot row an integer multiple of its reduced row echelon row.
+    Returns the pivot columns; the pivot rows come first.
+    """
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
-        p = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+    for c in range(cols):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        a = prow[c]
+        for i in range(0 if reduced else r + 1, len(rows)):
+            b = rows[i][c]
+            if b and i != r:
+                g = gcd(a, b)
+                ka, kb = a // g, b // g
+                new = [ka * x - kb * y if y else ka * x for x, y in zip(rows[i], prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-        if r == m.rows:
+        if r == len(rows):
             break
-    return Mat.from_rows(rows, m.cols), tuple(pivots)
+    return pivots
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns.  Row space is preserved.
+
+    The elimination runs on integer rows; each pivot row is divided by its
+    pivot once at the end, which is the only Fraction arithmetic.
+    """
+    rows = _int_rows(m)
+    pivots = _eliminate(rows, m.cols, reduced=True)
+    out: list[Fraction] = []
+    for row, c in zip(rows, pivots):
+        a = row[c]
+        out.extend([_ONE if x == a else Fraction(x, a) if x else _ZERO for x in row])
+    out.extend([_ZERO] * ((m.rows - len(pivots)) * m.cols))
+    return Mat(m.rows, m.cols, tuple(out)), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(_int_rows(m), m.cols, reduced=False))
 
 
 @dataclass(frozen=True)
@@ -191,7 +242,7 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("spanning vector length does not match ambient dimension")
-        red, pivots = rref(Mat.from_rows(vecs, ambient_dim))
+        red, pivots = rref(Mat(len(vecs), ambient_dim, tuple(x for v in vecs for x in v)))
         return Subspace(ambient_dim, tuple(red.row(i) for i in range(len(pivots))))
 
     @staticmethod
@@ -209,13 +260,13 @@ class Subspace:
         return self.dim() == self.ambient_dim
 
     def basis_matrix(self) -> Mat:
-        return Mat.from_rows(self.basis, self.ambient_dim)
+        return Mat(len(self.basis), self.ambient_dim, tuple(x for v in self.basis for x in v))
 
     def annihilator_matrix(self) -> Mat:
         """Rows u with u.v = 0 for all v in the subspace; v lies in the
         subspace iff this matrix kills v."""
-        ann = kernel(self.basis_matrix())
-        return Mat.from_rows(ann.basis, self.ambient_dim)
+        ann = kernel(self.basis_matrix()).basis
+        return Mat(len(ann), self.ambient_dim, tuple(x for v in ann for x in v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(subspace_contains(self, v) for v in other.basis)
@@ -223,16 +274,18 @@ class Subspace:
 
 def kernel(m: Mat) -> Subspace:
     """Right kernel {v : m.v = 0} as a canonical subspace of QQ^cols."""
-    red, pivots = rref(m)
+    rows = _int_rows(m)
+    pivots = _eliminate(rows, m.cols, reduced=True)
     pivot_set = set(pivots)
     vecs = []
     for c in range(m.cols):
         if c in pivot_set:
             continue
-        v = [Fraction(0)] * m.cols
-        v[c] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.at(r, c)
+        v = [_ZERO] * m.cols
+        v[c] = _ONE
+        for row, pc in zip(rows, pivots):
+            if row[c]:
+                v[pc] = Fraction(-row[c], row[pc])
         vecs.append(v)
     return Subspace.span(m.cols, vecs)
 
@@ -255,9 +308,10 @@ def subspace_contains(s: Subspace, v: Iterable[object]) -> bool:
     w = list(vector(v))
     if len(w) != s.ambient_dim:
         raise AmbientMismatch("vector length does not match ambient dimension")
+    p = -1
     for row in s.basis:
-        p = next(j for j, x in enumerate(row) if x != 0)
-        if w[p] != 0:
-            c = w[p]
-            w = [a - c * b for a, b in zip(w, row)]
-    return all(x == 0 for x in w)
+        p = next(j for j in range(p + 1, s.ambient_dim) if row[j])
+        c = w[p]
+        if c:
+            w = [a - c * b if b else a for a, b in zip(w, row)]
+    return not any(w)

@@ -1,20 +1,23 @@
-"""Reference versions of the Hom system and of cocharacter filtrations.
+"""Reference versions of the library's fast paths.
 
-These are the plain constructions the library's weight-structured paths
-replace: the Hom system assembled over every entry of f with one row per
-constraint equation, and a cocharacter filtration spanned from unit vectors
-and normalized by make_filtered.  They live only here, so that tests can
-compare the library against them on many inputs.
+These are the plain constructions the library replaces: the Hom system
+assembled over every entry of f with one row per constraint equation, a
+cocharacter filtration spanned from unit vectors and normalized by
+make_filtered, Gauss-Jordan elimination and subspace membership carried out
+step by step in Fraction arithmetic, and symmetric powers of 2x2 matrices
+expanded in Fractions.  They live only here, so that tests can compare the
+library against them on many inputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 from multifilt.filtration import FilteredSpace, make_filtered
 from multifilt.gl2 import RepData
 from multifilt.homspaces import FiltObject
-from multifilt.linalg import Mat, Subspace, kernel, rank
+from multifilt.linalg import AmbientMismatch, Mat, Subspace, kernel, rank, vector
 from multifilt.varieties import Cocharacter, pairing
 
 
@@ -81,3 +84,55 @@ def reference_cocharacter_filtration(rep: RepData, mu: Cocharacter) -> FilteredS
         rows = [[1 if k == b else 0 for k in range(rep.dim)] for b in range(rep.dim) if values[b] >= v]
         steps[v] = Subspace.span(rep.dim, rows)
     return make_filtered(rep.dim, steps)
+
+
+def reference_rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Gauss-Jordan elimination in Fraction arithmetic; same pivot rule."""
+    rows = m.row_list()
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        p = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return Mat.from_rows(rows, m.cols), tuple(pivots)
+
+
+def reference_subspace_contains(s: Subspace, v: Iterable[object]) -> bool:
+    """Membership by Fraction reduction against every echelon row."""
+    w = list(vector(v))
+    if len(w) != s.ambient_dim:
+        raise AmbientMismatch("vector length does not match ambient dimension")
+    for row in s.basis:
+        p = next(j for j, x in enumerate(row) if x != 0)
+        if w[p] != 0:
+            c = w[p]
+            w = [a - c * b for a, b in zip(w, row)]
+    return all(x == 0 for x in w)
+
+
+def reference_sym_power_matrix(g: Mat, n: int) -> Mat:
+    """Row i: coefficients of (a x + b y)^(n-i) (c x + d y)^i, expanded in Fractions."""
+    a, b, c, d = g.at(0, 0), g.at(0, 1), g.at(1, 0), g.at(1, 1)
+    rows = []
+    for i in range(n + 1):
+        poly = [Fraction(1)]
+        for u, v in [(a, b)] * (n - i) + [(c, d)] * i:
+            out = [Fraction(0)] * (len(poly) + 1)
+            for j, coeff in enumerate(poly):
+                out[j] += u * coeff
+                out[j + 1] += v * coeff
+            poly = out
+        rows.append(poly)
+    return Mat.from_rows(rows, n + 1)

@@ -160,3 +160,32 @@ def test_oversized_labels_rejected_before_building(capsys):
     # the bound itself is accepted
     code, out, _ = _run(capsys, ["multiplicity", "--variety", "TwoByTwoMatrices", "--label", "12,1;12,1"])
     assert code == 0 and out.strip() == "1"
+
+
+def test_oracle_degree_bound(capsys):
+    import time
+
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["oracle", "--variety", "BinaryQuadraticForms", "--label", "2000,0"])
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert "degree 1000" in err and "bound 80" in err
+
+    code, _, err = _run(capsys, ["oracle", "--variety", "TwoByTwoMatrices", "--grid", "n=0..81,m=0..0"])
+    assert code == 2 and "degree 81" in err and "bound 80" in err
+    # just under the bound still answers; a --max-degree below the label's degree truncates
+    code, out, _ = _run(capsys, ["oracle", "--variety", "BinaryQuadraticForms", "--label", "160,0"])
+    assert code == 0 and out.strip() == "1"
+    code, out, _ = _run(capsys, ["oracle", "--variety", "BinaryQuadraticForms", "--label", "2000,0", "--max-degree", "20"])
+    assert code == 0 and out.strip() == "0"
+
+
+def test_oracle_degree_bound_uses_max_degree_when_sums_do_not_decide(tmp_path, capsys):
+    # the dual of (1,0) plus the determinant: weight sums 1 and 2, so the degree is the --max-degree value
+    spec = {"group_rank": 2, "group": "GL2", "cocharacters": [[1, 0]], "x_module_weights": [[-1, 0], [0, -1], [-1, -1]]}
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = _run(capsys, ["oracle", "--variety-file", str(path), "--label", "1,0", "--max-degree", "81"])
+    assert code == 2 and "degree 81" in err and "bound 80" in err
+    code, out, _ = _run(capsys, ["oracle", "--variety-file", str(path), "--label", "1,0", "--max-degree", "4"])
+    assert code == 0 and out.strip() == "1"
