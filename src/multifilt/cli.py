@@ -54,11 +54,12 @@ VARIETY_NAMES = (BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES)
 # Largest representation dimension that multiplicity and filtration accept,
 # checked before any operator is built.  169 is the largest benchmarked cell,
 # ((12,1),(12,1)).  Measured at this bound on one core of a 2-vCPU Intel Xeon
-# under Python 3.11: that cell's multiplicity takes 0.2 s, the slowest label
+# under Python 3.11: that cell's multiplicity takes 0.13 s, the slowest label
 # shape, forms (168,0) whose reflection carries binomial coefficients, takes
-# about 2.5 s, and filtration output at dimension 169 is 12 MB (213 MB peak
-# RSS).  The label 200,0;200,0 (dimension 40401) would need eight dense
-# 40401^2 operators.
+# about 1.1 s, and its filtration output is 12 MB (212 MB peak RSS).  The
+# label 200,0;200,0 (dimension 40401) builds its eight sparse operators
+# (321600 nonzeros) in 0.6 s, but its cocharacter flag's dense unit rows
+# alone would hold 40401^2 entries.
 MAX_REP_DIM = 169
 
 # Largest coordinate-ring degree that oracle decomposes, checked before any
@@ -69,6 +70,13 @@ MAX_REP_DIM = 169
 # growing faster than d^3; binary forms (2d,0) take 2.4 s at degree 200 and
 # 16 s at 400.
 MAX_ORACLE_DEGREE = 80
+
+# Largest number of cells a multiplicity or oracle grid may have, checked
+# from the range lengths before any label is made.  Measured on the same
+# host: the 10000-cell matrix grid n=0..9,m=-4..5 takes 27 s (27 MB peak
+# RSS) in multiplicity and 0.4 s in oracle; the paper's grid has 900 cells
+# (1.2 s in multiplicity).
+MAX_GRID_CELLS = 10_000
 
 
 class CliError(Exception):
@@ -106,6 +114,17 @@ def _parse_label(text: str) -> object:
     except ValueError:
         pass
     raise CliError(f"bad label {text!r}: expected 'n,m' or 'n,m;n2,m2'")
+
+
+# The label shape each labeled group takes, as written on the command line.
+LABEL_SHAPES = {"GL2": "'n,m'", "GL2xGL2": "'n,m;n2,m2'"}
+
+
+def _check_label_shape(group: str, label: object, what: str) -> None:
+    """Reject a label whose shape does not fit the group's representations."""
+    product = isinstance(label[0], tuple)  # type: ignore[index]
+    if group in LABEL_SHAPES and product != (group == "GL2xGL2"):
+        raise CliError(f"{what} does not fit group {group}: expected {LABEL_SHAPES[group]}")
 
 
 def _check_rep_dim(label: object, what: str) -> None:
@@ -159,10 +178,18 @@ def _load_variety(args: argparse.Namespace):
 
 def _grid_from_args(spec_group: str, args: argparse.Namespace, bounded: bool = False) -> list[object]:
     ranges = _parse_grid(args.grid)
+    what = f"grid {args.grid!r}"
+    if spec_group == "GL2" and ("n2" in ranges or "m2" in ranges):
+        raise CliError(f"{what} does not fit group GL2: expected only n and m")
     n, n2 = ranges["n"], ranges.get("n2", ranges["n"])
+    cells = len(n) * len(ranges["m"])
+    if spec_group == "GL2xGL2":
+        cells *= len(n2) * len(ranges.get("m2", ranges["m"]))
+    if cells > MAX_GRID_CELLS:
+        raise CliError(f"{what} has {cells} cells, above the bound {MAX_GRID_CELLS}")
     if bounded and n and n2:
         # the largest n (and n2) gives the grid's largest representation
-        _check_rep_dim((n[-1], 0) if spec_group == "GL2" else ((n[-1], 0), (n2[-1], 0)), f"grid {args.grid!r}")
+        _check_rep_dim((n[-1], 0) if spec_group == "GL2" else ((n[-1], 0), (n2[-1], 0)), what)
     return grid_labels(spec_group, n, ranges["m"], ranges.get("n2"), ranges.get("m2"))
 
 
@@ -217,6 +244,7 @@ def _cmd_filtration(args: argparse.Namespace) -> int:
         filts = [cocharacter_filtration(rep_from_label(group, label), mu)]
     else:
         spec = _load_variety(args)
+        _check_label_shape(spec.group, label, f"label {args.label!r}")
         rep = rep_from_label(spec.group, label)
         filts = [cocharacter_filtration(rep, mu) for mu in spec.boundary_cocharacters]
     payloads = [serialize.filtered_space_to_json(f) for f in filts]
@@ -241,6 +269,7 @@ def _cmd_multiplicity(args: argparse.Namespace) -> int:
     spec = _load_variety(args)
     if args.label is not None:
         label = _parse_label(args.label)
+        _check_label_shape(spec.group, label, f"label {args.label!r}")
         _check_rep_dim(label, f"label {args.label!r}")
         print(multiplicity(rep_from_label(spec.group, label), spec, args.h_style))
         return 0
@@ -255,6 +284,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     spec = _load_variety(args)
     if args.label is not None:
         label = _parse_label(args.label)
+        _check_label_shape(spec.group, label, f"label {args.label!r}")
         _check_oracle_degree(spec, [label], args.max_degree, f"label {args.label!r}")
         print(oracle_multiplicity(spec, label, args.max_degree))
         return 0

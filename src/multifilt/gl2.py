@@ -87,17 +87,18 @@ class GroupActionData:
 
 def _lie_op(x: Mat, n: int, m: int) -> Mat:
     """Derived action of the 2x2 matrix x on monomials, plus m tr(x) from
-    the determinant twist."""
+    the determinant twist.  Row i has at most three nonzeros: (n - i + 1) c
+    in column i - 1, the diagonal entry, and (i + 1) b in column i + 1."""
     a, b, c, d = x.at(0, 0), x.at(0, 1), x.at(1, 0), x.at(1, 1)
     tw = m * (a + d)
-    ent = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for j in range(n + 1):
-        ent[j][j] = (n - j) * a + j * d + tw
-        if j + 1 <= n:
-            ent[j + 1][j] = (n - j) * c
-        if j - 1 >= 0:
-            ent[j - 1][j] = j * b
-    return Mat.from_rows(ent)
+    rows = []
+    for i in range(n + 1):
+        row = [(i - 1, (n - i + 1) * c)] if i > 0 and c else []
+        row.append((i, (n - i) * a + i * d + tw))
+        if i < n and b:
+            row.append((i + 1, (i + 1) * b))
+        rows.append(row)
+    return Mat.from_sparse_rows(rows, n + 1)
 
 
 _E12 = Mat.from_rows([[0, 1], [0, 0]])

@@ -55,8 +55,17 @@ def _check_shapes(a: FiltObject, b: FiltObject) -> None:
         raise ValueError("objects carry different numbers of equivariance constraints")
 
 
-def _is_diagonal(m: Mat) -> bool:
-    return not any(x for i in range(m.rows) for j, x in enumerate(m.row(i)) if j != i)
+def _diagonal(m: Mat) -> tuple[Fraction, ...] | None:
+    """The diagonal entries of m if it has no other nonzero entry, else None."""
+    out = []
+    for i, row in enumerate(m.sparse_rows):
+        if not row:
+            out.append(0)
+        elif len(row) == 1 and row[0][0] == i:
+            out.append(row[0][1])
+        else:
+            return None
+    return tuple(out)
 
 
 def _hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, list[int]]:
@@ -68,58 +77,57 @@ def _hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, list[int]]:
     reads f[r, c] (ka[c, c] - kb[r, r]) = 0, so such pairs contribute no
     rows: they only decide which entries are variables at all.  The other
     pairs and the filtration conditions give rows over those variables;
-    rows that vanish on them are dropped.
+    rows that vanish on them are dropped.  Every loop runs over nonzero
+    entries only.
     """
     da, db = a.rep.dim, b.rep.dim
-    diagonal: list[tuple[Mat, Mat]] = []
+    diagonal: list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = []
     general: list[tuple[Mat, Mat]] = []
     for ka, kb in zip(a.h_action.intertwiner_constraints, b.h_action.intertwiner_constraints):
-        (diagonal if _is_diagonal(ka) and _is_diagonal(kb) else general).append((ka, kb))
+        eigen_a, eigen_b = _diagonal(ka), _diagonal(kb)
+        if eigen_a is None or eigen_b is None:
+            general.append((ka, kb))
+        else:
+            diagonal.append((eigen_a, eigen_b))
 
     cols_by_eigen: dict[tuple[Fraction, ...], list[int]] = {}
     for c in range(da):
-        cols_by_eigen.setdefault(tuple(ka.at(c, c) for ka, _ in diagonal), []).append(c)
-    free = [(r, c) for r in range(db) for c in cols_by_eigen.get(tuple(kb.at(r, r) for _, kb in diagonal), ())]
+        cols_by_eigen.setdefault(tuple(ea[c] for ea, _ in diagonal), []).append(c)
+    free = [(r, c) for r in range(db) for c in cols_by_eigen.get(tuple(eb[r] for _, eb in diagonal), ())]
     var = {rc: k for k, rc in enumerate(free)}
 
-    zero = Fraction(0)
-    rows: list[list[Fraction]] = []
+    rows: list[list[tuple[int, Fraction]]] = []
 
     def emit(coeffs: dict[int, Fraction]) -> None:
-        if any(coeffs.values()):
-            row = [zero] * len(free)
-            for k, x in coeffs.items():
-                row[k] = x
+        row = sorted((k, x) for k, x in coeffs.items() if x)
+        if row:
             rows.append(row)
 
     for ka, kb in general:
         # f ka = kb f, one equation per output entry: variable f[r, c] enters
         # equation (r, j) with ka[c, j] and equation (i, c) with -kb[i, r]
+        kb_cols = kb.transpose().sparse_rows
         equations: dict[tuple[int, int], dict[int, Fraction]] = defaultdict(dict)
         for k, (r, c) in enumerate(free):
-            for j, x in enumerate(ka.row(c)):
-                if x != 0:
-                    equations[r, j][k] = x
-            for i in range(db):
-                x = kb.at(i, r)
-                if x != 0:
-                    equations[i, c][k] = equations[i, c].get(k, zero) - x
+            for j, x in ka.sparse_rows[c]:
+                equations[r, j][k] = x
+            for i, x in kb_cols[r]:
+                equations[i, c][k] = equations[i, c].get(k, 0) - x
         for coeffs in equations.values():
             emit(coeffs)
 
     for fa, fb in zip(a.filtrations, b.filtrations):
         for p in fa.jumps():
-            ann = fb.at(p).annihilator_matrix()
-            ann_rows = [[(r, x) for r, x in enumerate(ann.row(u)) if x != 0] for u in range(ann.rows)]
+            ann_rows = fb.at(p).annihilator_matrix().sparse_rows
             if not ann_rows:
                 continue
             for v in fa.at(p).basis:
-                v_nonzero = [(c, x) for c, x in enumerate(v) if x != 0]
+                v_nonzero = [(c, x) for c, x in enumerate(v) if x]
                 # annihilator rows of the target step kill f v
                 for u_nonzero in ann_rows:
                     emit({var[r, c]: ur * vc for r, ur in u_nonzero for c, vc in v_nonzero if (r, c) in var})
 
-    return Mat.from_rows(rows, len(free)), [r * da + c for r, c in free]
+    return Mat.from_sparse_rows(rows, len(free)), [r * da + c for r, c in free]
 
 
 def hom_dim(a: FiltObject, b: FiltObject) -> int:

@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Matrices are dense, immutable and carry ``Fraction`` entries.  Subspaces are
-stored by their reduced row echelon basis, so two equal subspaces have equal
-representations and ``==`` is a genuine subspace equality test.
+Matrices are immutable, carry ``Fraction`` entries and store only their
+nonzero entries, row by row, so that building, adding, multiplying and
+stacking them costs their nonzeros rather than their shapes.  Subspaces are
+stored by their reduced row echelon basis (dense vectors), so two equal
+subspaces have equal representations and ``==`` is a genuine subspace
+equality test.
 
 Elimination runs on integers.  Each row is scaled by the lcm of its
 denominators and reduced fraction-free on Python ints; rank stops at the
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -23,6 +27,8 @@ Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+_NOT_RREF = "subspace basis is not in reduced row echelon form"
 
 
 class AmbientMismatch(ValueError):
@@ -42,19 +48,34 @@ def vector(entries: Iterable[object]) -> Vector:
     return tuple(frac(x) for x in entries)
 
 
-@dataclass(frozen=True)
+SparseRow = tuple[tuple[int, Fraction], ...]
+
+
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError("negative matrix shape")
+
+
+@dataclass(frozen=True, init=False)
 class Mat:
-    """Dense rational matrix, row-major."""
+    """Rational matrix that stores only its nonzero entries.
+
+    Row i is ``sparse_rows[i]``: the (column, value) pairs of its nonzero
+    entries in column order, the row-compressed layout of Gustavson (1978).
+    ``entries``, ``row`` and ``at`` are dense views.  Two matrices are equal
+    exactly when their shapes and dense entries are.
+    """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    sparse_rows: tuple[SparseRow, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix shape")
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: Sequence[object]) -> None:
+        _check_shape(rows, cols)
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
+        sparse = tuple(_nonzeros(entries[i * cols : (i + 1) * cols]) for i in range(rows))
+        self.__dict__.update(rows=rows, cols=cols, sparse_rows=sparse)
 
     @staticmethod
     def from_rows(rows: Sequence[Iterable[object]], cols: int | None = None) -> "Mat":
@@ -65,96 +86,163 @@ class Mat:
                 raise ValueError("ragged rows")
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        flat = tuple(x for r in rows for x in r)
-        return Mat(len(rows), cols, flat)
+        return _mat(len(rows), cols, tuple(_nonzeros(r) for r in rows))
+
+    @staticmethod
+    def from_sparse_rows(rows: Sequence[Iterable[tuple[int, object]]], cols: int) -> "Mat":
+        """The matrix whose row i holds the (column, value) pairs of rows[i];
+        columns strictly increase within a row, and zero values are dropped."""
+        _check_shape(0, cols)
+        out = []
+        for r in rows:
+            row, last = [], -1
+            for j, x in r:
+                if not (isinstance(j, int) and last < j < cols):
+                    raise ValueError("sparse row columns must increase and lie below the column count")
+                last, x = j, frac(x)
+                if x:
+                    row.append((j, x))
+            out.append(tuple(row))
+        return _mat(len(out), cols, tuple(out))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Mat":
-        return Mat(rows, cols, (Fraction(0),) * (rows * cols))
+        _check_shape(rows, cols)
+        return _mat(rows, cols, ((),) * rows)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
+        _check_shape(n, n)
+        return _mat(n, n, tuple(((i, _ONE),) for i in range(n)))
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(chain.from_iterable(_dense(r, self.cols) for r in self.sparse_rows))
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        for c, x in self.sparse_rows[i]:
+            if c == j:
+                return x
+        return _ZERO
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return _dense(self.sparse_rows[i], self.cols)
 
     def row_list(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [list(_dense(r, self.cols)) for r in self.sparse_rows]
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+        cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, x in row:
+                cols[j].append((i, x))
+        return _mat(self.cols, self.rows, tuple(map(tuple, cols)))
 
     def matvec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise AmbientMismatch(f"matrix has {self.cols} columns, vector has length {len(v)}")
-        return tuple(sum([x * y for x, y in zip(self.row(i), v) if x and y], _ZERO) for i in range(self.rows))
+        return tuple(sum([x * v[j] for j, x in row if v[j]], _ZERO) for row in self.sparse_rows)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise AmbientMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other.at(k, j) for k in range(self.cols)), Fraction(0)))
-        return Mat(self.rows, other.cols, tuple(out))
+        for row in self.sparse_rows:
+            acc: dict[int, Fraction] = {}
+            for k, x in row:
+                for j, y in other.sparse_rows[k]:
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+            out.append(tuple((j, acc[j]) for j in sorted(acc) if acc[j]))
+        return _mat(self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise AmbientMismatch("shape mismatch in matrix sum")
-        # a zero right entry keeps the left one: operators are mostly zeros
-        return Mat(self.rows, self.cols, tuple(a + b if b else a for a, b in zip(self.entries, other.entries)))
+        return _mat(self.rows, self.cols, tuple(map(_row_sum, self.sparse_rows, other.sparse_rows)))
 
     def __sub__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise AmbientMismatch("shape mismatch in matrix difference")
-        return Mat(self.rows, self.cols, tuple(a - b if b else a for a, b in zip(self.entries, other.entries)))
+        negated = (tuple((j, -x) for j, x in row) for row in other.sparse_rows)
+        return _mat(self.rows, self.cols, tuple(map(_row_sum, self.sparse_rows, negated)))
 
     def scale(self, c: object) -> "Mat":
         c = frac(c)
-        return Mat(self.rows, self.cols, tuple(c * x for x in self.entries))
+        if c == 1:
+            return self
+        if not c:
+            return _mat(self.rows, self.cols, ((),) * self.rows)
+        return _mat(self.rows, self.cols, tuple(tuple((j, c * x) for j, x in row) for row in self.sparse_rows))
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+
+def _mat(rows: int, cols: int, sparse_rows: tuple[SparseRow, ...]) -> Mat:
+    """A matrix from rows already in stored form (sorted, no zero values)."""
+    m = object.__new__(Mat)
+    m.__dict__.update(rows=rows, cols=cols, sparse_rows=sparse_rows)
+    return m
+
+
+def _nonzeros(v: Sequence[object]) -> SparseRow:
+    return tuple([(j, x) for j, x in enumerate(v) if x])
+
+
+def _dense(row: SparseRow, n: int) -> Vector:
+    out = [_ZERO] * n
+    for j, x in row:
+        out[j] = x
+    return tuple(out)
+
+
+def _row_sum(a: SparseRow, b: SparseRow) -> SparseRow:
+    if not b:
+        return a
+    if not a:
+        return b
+    acc = dict(a)
+    for j, y in b:
+        acc[j] = acc[j] + y if j in acc else y
+    return tuple((j, acc[j]) for j in sorted(acc) if acc[j])
 
 
 def vstack(a: Mat, b: Mat) -> Mat:
     if a.cols != b.cols:
         raise AmbientMismatch("column count mismatch in vertical stack")
-    return Mat(a.rows + b.rows, a.cols, a.entries + b.entries)
+    return _mat(a.rows + b.rows, a.cols, a.sparse_rows + b.sparse_rows)
 
 
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product; index of the left factor varies slowest.
 
-    Zero entries on either side are copied rather than multiplied, so the
-    many zeros of sparse operators cost no arithmetic and share one object.
+    Only products of nonzeros are formed, and a factor that is the shared
+    one is copied rather than multiplied, so a Kronecker product with an
+    identity does no arithmetic.
     """
-    out: list[Fraction] = []
-    zero_row = (Fraction(0),) * b.cols
-    for i in range(a.rows):
-        a_row = a.row(i)
-        for k in range(b.rows):
-            b_row = b.row(k)
-            for aij in a_row:
-                out.extend([aij * x if x else x for x in b_row] if aij else zero_row)
-    return Mat(a.rows * b.rows, a.cols * b.cols, tuple(out))
+    out = []
+    for a_row in a.sparse_rows:
+        for b_row in b.sparse_rows:
+            out.append(
+                tuple(
+                    (j * b.cols + k, y if x is _ONE else x if y is _ONE else x * y)
+                    for j, x in a_row
+                    for k, y in b_row
+                )
+            )
+    return _mat(a.rows * b.rows, a.cols * b.cols, tuple(out))
 
 
 def _int_rows(m: Mat) -> list[list[int]]:
     """The rows of m, each scaled by the lcm of its denominators and divided
     by its content: primitive integer rows spanning the same row space."""
     out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        den = lcm(*[x.denominator for x in row])
-        ints = [x.numerator * (den // x.denominator) for x in row] if den != 1 else [x.numerator for x in row]
-        g = gcd(*ints)
-        out.append([x // g for x in ints] if g > 1 else ints)
+    for row in m.sparse_rows:
+        ints = [0] * m.cols
+        if row:
+            den = lcm(*[x.denominator for _, x in row])
+            nums = [x.numerator * (den // x.denominator) for _, x in row]
+            g = gcd(*nums)
+            for (j, _), x in zip(row, nums):
+                ints[j] = x // g
+        out.append(ints)
     return out
 
 
@@ -202,12 +290,12 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """
     rows = _int_rows(m)
     pivots = _eliminate(rows, m.cols, reduced=True)
-    out: list[Fraction] = []
+    out = []
     for row, c in zip(rows, pivots):
         a = row[c]
-        out.extend([_ONE if x == a else Fraction(x, a) if x else _ZERO for x in row])
-    out.extend([_ZERO] * ((m.rows - len(pivots)) * m.cols))
-    return Mat(m.rows, m.cols, tuple(out)), tuple(pivots)
+        out.append(tuple([(j, _ONE if x == a else Fraction(x, a)) for j, x in enumerate(row) if x]))
+    out.extend([()] * (m.rows - len(pivots)))
+    return _mat(m.rows, m.cols, tuple(out)), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -222,19 +310,50 @@ class Subspace:
     basis: tuple[Vector, ...]
 
     def __post_init__(self) -> None:
-        last_pivot = -1
-        for i, row in enumerate(self.basis):
-            if len(row) != self.ambient_dim:
-                raise AmbientMismatch("basis row length does not match ambient dimension")
-            p = next((j for j, x in enumerate(row) if x != 0), None)
-            if p is None:
-                raise ValueError("zero row in subspace basis")
-            if p <= last_pivot or row[p] != 1:
-                raise ValueError("subspace basis is not in reduced row echelon form")
-            for k in range(len(self.basis)):
-                if k != i and self.basis[k][p] != 0:
-                    raise ValueError("subspace basis is not in reduced row echelon form")
-            last_pivot = p
+        # Rows are checked by counting stretches against the shared zero
+        # (count tests identity before value), looking for each pivot only
+        # after the previous one.  The prefix up to the previous pivot covers
+        # the earlier pivot columns; later ones are read entry by entry, and
+        # only in rows with a nonzero after their pivot.  Before rejecting,
+        # _check_pivot_columns raises any pivot-column fault that a check of
+        # each column as soon as its pivot is found would have met first.
+        n = self.ambient_dim
+        pivots: list[int] = []
+        p = -1
+        for row in self.basis:
+            if len(row) != n:
+                fault = AmbientMismatch("basis row length does not match ambient dimension")
+            elif row[: p + 1].count(_ZERO) != p + 1:
+                fault = ValueError(_NOT_RREF)
+            else:
+                for p in range(p + 1, n):
+                    if row[p]:
+                        break
+                else:
+                    p = -1
+                if p < 0:
+                    fault = ValueError("zero row in subspace basis")
+                elif row[p] is not _ONE and row[p] != 1:
+                    fault = ValueError(_NOT_RREF)
+                else:
+                    pivots.append(p)
+                    continue
+            self._check_pivot_columns(pivots)
+            raise fault
+        for i, (row, p) in enumerate(zip(self.basis, pivots)):
+            tail = row[p + 1 :]
+            if tail.count(_ZERO) != len(tail):
+                later = [row[q] for q in pivots[i + 1 :]]
+                if later.count(_ZERO) != len(later):
+                    self._check_pivot_columns(pivots)
+
+    def _check_pivot_columns(self, pivots: list[int]) -> None:
+        """Raise if one of the given pivot columns is nonzero outside its
+        pivot row, testing pivot by pivot and, for each, row by row."""
+        for i, p in enumerate(pivots):
+            for k, row in enumerate(self.basis):
+                if k != i and row[p] != 0:
+                    raise ValueError(_NOT_RREF)
 
     @staticmethod
     def span(ambient_dim: int, vectors: Sequence[Iterable[object]]) -> "Subspace":
@@ -242,8 +361,8 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("spanning vector length does not match ambient dimension")
-        red, pivots = rref(Mat(len(vecs), ambient_dim, tuple(x for v in vecs for x in v)))
-        return Subspace(ambient_dim, tuple(red.row(i) for i in range(len(pivots))))
+        red, pivots = rref(_mat(len(vecs), ambient_dim, tuple(_nonzeros(v) for v in vecs)))
+        return Subspace(ambient_dim, tuple(_dense(row, ambient_dim) for row in red.sparse_rows[: len(pivots)]))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -260,13 +379,13 @@ class Subspace:
         return self.dim() == self.ambient_dim
 
     def basis_matrix(self) -> Mat:
-        return Mat(len(self.basis), self.ambient_dim, tuple(x for v in self.basis for x in v))
+        return _mat(len(self.basis), self.ambient_dim, tuple(_nonzeros(v) for v in self.basis))
 
     def annihilator_matrix(self) -> Mat:
         """Rows u with u.v = 0 for all v in the subspace; v lies in the
         subspace iff this matrix kills v."""
         ann = kernel(self.basis_matrix()).basis
-        return Mat(len(ann), self.ambient_dim, tuple(x for v in ann for x in v))
+        return _mat(len(ann), self.ambient_dim, tuple(_nonzeros(v) for v in ann))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(subspace_contains(self, v) for v in other.basis)

@@ -37,7 +37,6 @@ Conventions pinned by the built-ins (printed by the CLI as well):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .filtration import FilteredSpace
@@ -50,7 +49,7 @@ from .gl2 import (
     irrep_gl2,
     stabilizer_action_binary_forms,
 )
-from .linalg import Mat, Subspace
+from .linalg import Mat, Subspace, frac
 
 Cocharacter = tuple[int, ...]
 
@@ -81,7 +80,8 @@ def cocharacter_filtration(rep: RepData, mu: Cocharacter) -> FilteredSpace:
     """
     dim = rep.dim
     values = [-pairing(mu, chi) for chi in rep.weights]
-    zero, one = Fraction(0), Fraction(1)
+    # the shared zero and one, which Subspace's checks recognize by identity
+    zero, one = frac(0), frac(1)
     units = [(zero,) * b + (one,) + (zero,) * (dim - b - 1) for b in range(dim)]
     steps = tuple(
         (v, Subspace(dim, tuple(units[b] for b in range(dim) if values[b] >= v)))

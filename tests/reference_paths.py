@@ -5,14 +5,17 @@ assembled over every entry of f with one row per constraint equation, a
 cocharacter filtration spanned from unit vectors and normalized by
 make_filtered, Gauss-Jordan elimination and subspace membership carried out
 step by step in Fraction arithmetic, and symmetric powers of 2x2 matrices
-expanded in Fractions.  They live only here, so that tests can compare the
-library against them on many inputs.
+expanded in Fractions, matrices stored densely with arithmetic on every
+entry, and the subspace basis check that tests each pivot column entry by
+entry.  They live only here, so that tests can compare the library against
+them on many inputs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from multifilt.filtration import FilteredSpace, make_filtered
 from multifilt.gl2 import RepData
@@ -136,3 +139,82 @@ def reference_sym_power_matrix(g: Mat, n: int) -> Mat:
             poly = out
         rows.append(poly)
     return Mat.from_rows(rows, n + 1)
+
+
+@dataclass(frozen=True)
+class DenseMat:
+    """Dense rational matrix, row-major: every entry stored, every entry
+    taking part in the arithmetic."""
+
+    rows: int
+    cols: int
+    entries: tuple
+
+    def __post_init__(self) -> None:
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("negative matrix shape")
+        if len(self.entries) != self.rows * self.cols:
+            raise ValueError("entry count does not match shape")
+
+    def at(self, i: int, j: int):
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> tuple:
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def transpose(self) -> "DenseMat":
+        return DenseMat(self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+
+    def matvec(self, v: Sequence) -> tuple:
+        if len(v) != self.cols:
+            raise AmbientMismatch(f"matrix has {self.cols} columns, vector has length {len(v)}")
+        return tuple(sum((x * y for x, y in zip(self.row(i), v)), Fraction(0)) for i in range(self.rows))
+
+    def __matmul__(self, other: "DenseMat") -> "DenseMat":
+        if self.cols != other.rows:
+            raise AmbientMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        out = []
+        for i in range(self.rows):
+            for j in range(other.cols):
+                out.append(sum((self.at(i, k) * other.at(k, j) for k in range(self.cols)), Fraction(0)))
+        return DenseMat(self.rows, other.cols, tuple(out))
+
+    def __add__(self, other: "DenseMat") -> "DenseMat":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise AmbientMismatch("shape mismatch in matrix sum")
+        return DenseMat(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+
+    def __sub__(self, other: "DenseMat") -> "DenseMat":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise AmbientMismatch("shape mismatch in matrix difference")
+        return DenseMat(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+
+
+def dense_kron(a: DenseMat, b: DenseMat) -> DenseMat:
+    """Kronecker product; index of the left factor varies slowest."""
+    out = []
+    for i in range(a.rows):
+        for k in range(b.rows):
+            for j in range(a.cols):
+                out.extend(a.at(i, j) * b.at(k, l) for l in range(b.cols))
+    return DenseMat(a.rows * b.rows, a.cols * b.cols, tuple(out))
+
+
+def reference_check_subspace_basis(ambient_dim: int, basis: Sequence[Sequence]) -> None:
+    """Raise what a subspace basis that is not a reduced row echelon basis
+    of QQ^ambient_dim must raise: each row in turn is checked for its
+    length, a nonzero entry, a leading 1 right of the previous pivot, and
+    zeros in its pivot column in every other row."""
+    last_pivot = -1
+    for i, row in enumerate(basis):
+        if len(row) != ambient_dim:
+            raise AmbientMismatch("basis row length does not match ambient dimension")
+        p = next((j for j, x in enumerate(row) if x != 0), None)
+        if p is None:
+            raise ValueError("zero row in subspace basis")
+        if p <= last_pivot or row[p] != 1:
+            raise ValueError("subspace basis is not in reduced row echelon form")
+        for k in range(len(basis)):
+            if k != i and basis[k][p] != 0:
+                raise ValueError("subspace basis is not in reduced row echelon form")
+        last_pivot = p

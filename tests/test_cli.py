@@ -189,3 +189,58 @@ def test_oracle_degree_bound_uses_max_degree_when_sums_do_not_decide(tmp_path, c
     assert code == 2 and "degree 81" in err and "bound 80" in err
     code, out, _ = _run(capsys, ["oracle", "--variety-file", str(path), "--label", "1,0", "--max-degree", "4"])
     assert code == 0 and out.strip() == "1"
+
+
+def test_label_of_the_wrong_shape_rejected(capsys):
+    for command in ("multiplicity", "oracle", "filtration"):
+        code, out, err = _run(capsys, [command, "--variety", "TwoByTwoMatrices", "--label", "1,0"])
+        assert code == 2 and out == ""
+        assert "group GL2xGL2" in err and "'n,m;n2,m2'" in err
+    for command in ("multiplicity", "oracle"):
+        code, out, err = _run(capsys, [command, "--variety", "BinaryQuadraticForms", "--label", "1,0;1,0"])
+        assert code == 2 and out == ""
+        assert "group GL2" in err and "'n,m'" in err
+    code, out, err = _run(capsys, ["multiplicity", "--variety", "BinaryQuadraticForms", "--grid", "n=0..1,m=0..0,n2=0..1"])
+    assert code == 2 and out == "" and "only n and m" in err
+    # labels of the right shape still answer
+    code, out, _ = _run(capsys, ["oracle", "--variety", "TwoByTwoMatrices", "--label", "1,0;1,0"])
+    assert code == 0 and out.strip() == "1"
+
+
+def _run_with_memory_cap(args, cap_mb=512):
+    """Run the CLI in a child process whose address space is capped, so that
+    a grid materialized in full fails in the child instead of exhausting the
+    host's memory."""
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import multifilt
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (cap_mb << 20, cap_mb << 20))
+
+    code = "import sys; from multifilt.cli import main; raise SystemExit(main(sys.argv[1:]))"
+    env = {"PYTHONPATH": str(Path(multifilt.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60, preexec_fn=cap, env=env)
+
+
+def test_oversized_grid_rejected_before_labels_are_made(capsys):
+    import time
+
+    from multifilt.cli import MAX_GRID_CELLS
+
+    for command in ("multiplicity", "oracle"):
+        for variety in ("TwoByTwoMatrices", "BinaryQuadraticForms"):
+            start = time.perf_counter()
+            done = _run_with_memory_cap([command, "--variety", variety, "--grid", "n=0..0,m=-10000000..10000000"])
+            assert time.perf_counter() - start < 5
+            assert done.returncode == 2 and done.stdout == ""
+            assert f"bound {MAX_GRID_CELLS}" in done.stderr
+    # a matrix grid counts the cells of both factors
+    code, out, err = _run(capsys, ["oracle", "--variety", "TwoByTwoMatrices", "--grid", "n=0..9,m=-5..5"])
+    assert code == 2 and out == "" and "12100 cells" in err
+    # a grid of exactly the bound is accepted (oracle answers it quickly)
+    code, out, _ = _run(capsys, ["--format", "tsv", "oracle", "--variety", "TwoByTwoMatrices", "--grid", "n=0..9,m=-4..5"])
+    assert code == 0 and len(out.splitlines()) == 1 + MAX_GRID_CELLS

@@ -143,3 +143,17 @@ def test_intertwiner_condition_on_basis():
                 assert f @ ka == kb @ f
             for fa, fb in zip(a.filtrations, b.filtrations):
                 assert is_filtration_morphism(f, fa, fb)
+
+
+def test_solver_oracle_and_closed_form_agree_on_wide_grids():
+    # forms (n, m), n <= 16, m in -2..2: 1 iff n and m are even and m >= 0;
+    # matrices ((n, m), (n', m')), n, n' <= 8, m, m' in -1..1: 1 iff the two
+    # factors are equal and m >= 0
+    forms = builtin_variety(BINARY_QUADRATIC_FORMS)
+    matrices = builtin_variety(TWO_BY_TWO_MATRICES)
+    cells = [(forms, (n, m), int(n % 2 == 0 and m % 2 == 0 and m >= 0)) for n, m in grid_labels("GL2", range(17), range(-2, 3))]
+    cells += [(matrices, (a, b), int(a == b and a[1] >= 0)) for a, b in grid_labels("GL2xGL2", range(9), range(-1, 2))]
+    assert len(cells) == 85 + 729
+    for spec, label, expected in cells:
+        hom = multiplicity(rep_from_label(spec.group, label), spec)
+        assert hom == oracle_multiplicity(spec, label) == expected, (spec.name, label)

@@ -60,6 +60,16 @@ def test_one_sided_diagonal_pairs_do_not_prune():
     _assert_matches_reference(a, b)
 
 
+def test_equations_that_cancel_are_dropped():
+    # f J = J f for a Jordan block J: equation (1, 0) reads f[1, 0] - f[1, 0]
+    jordan = Mat.from_rows([[1, 1], [0, 1]])
+    a = _object([jordan])
+    system, free = homspaces._hom_system(a, a)
+    assert free == list(range(4))
+    assert system.rows == 3 and all(system.sparse_rows)
+    _assert_matches_reference(a, a)
+
+
 def test_fully_pruned_systems_are_zero():
     rng = random.Random(5)
     flag3 = random_filtered_space(rng, dim=3)
