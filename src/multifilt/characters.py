@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping, TYPE_CHECKING
 
-from .gl2 import Weight, weights_of_label
+from .gl2 import GROUP_FACTORS, Weight, label_factors, label_from_factors, weights_of_label
 
 if TYPE_CHECKING:
     from .varieties import VarietySpec
@@ -104,26 +104,17 @@ def decompose(w: Mapping[Weight, int]) -> dict[object, int]:
 
 
 def _label_of_highest(top: Weight) -> object:
-    if len(top) == 2:
-        a, b = top
-        if a < b:
-            raise NotDominant(f"maximal weight {top} is not dominant")
-        return (a - b, b)
-    if len(top) == 4:
-        a, b, c, d = top
-        if a < b or c < d:
-            raise NotDominant(f"maximal weight {top} is not dominant")
-        return ((a - b, b), (c - d, d))
-    raise ValueError("decomposition handles 2- and 4-component weights only")
+    if len(top) not in (2 * k for k in GROUP_FACTORS.values()):
+        raise ValueError("decomposition handles 2- and 4-component weights only")
+    pairs = [top[i : i + 2] for i in range(0, len(top), 2)]
+    if any(a < b for a, b in pairs):
+        raise NotDominant(f"maximal weight {top} is not dominant")
+    return label_from_factors([(a - b, b) for a, b in pairs])
 
 
 def label_weight_sum(label: object) -> int:
     """Common coordinate sum of all weights of the labeled irreducible."""
-    if isinstance(label, tuple) and len(label) == 2 and all(isinstance(c, int) for c in label):
-        n, m = label
-        return n + 2 * m
-    a, b = label  # type: ignore[misc]
-    return label_weight_sum(tuple(a)) + label_weight_sum(tuple(b))
+    return sum(n + 2 * m for n, m in label_factors(label))
 
 
 @lru_cache(maxsize=None)
@@ -165,12 +156,8 @@ def oracle_multiplicity(spec: "VarietySpec", label: object, max_degree: int | No
     over the degrees that oracle_degrees names; exact with no bound when
     the generator weight sums determine the degree."""
     dual = tuple(sorted(tuple(-c for c in w) for w in spec.x_module_weights))
-    key = _normalize_label(label)
-    return sum(_degree_decomposition(dual, d).get(key, 0) for d in oracle_degrees(spec, label, max_degree))
-
-
-def _normalize_label(label: object) -> object:
-    if isinstance(label, tuple) and len(label) == 2 and all(isinstance(c, int) for c in label):
-        return (int(label[0]), int(label[1]))
-    a, b = label  # type: ignore[misc]
-    return ((int(a[0]), int(a[1])), (int(b[0]), int(b[1])))
+    factors = label_factors(label)
+    if 2 * len(factors) != spec.rank:
+        raise ValueError(f"label {label!r} does not fit torus rank {spec.rank}")
+    key = label_from_factors(factors)
+    return sum(_degree_decomposition(dual, d).get(key, 0) for d in oracle_degrees(spec, key, max_degree))

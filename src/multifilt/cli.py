@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 from typing import Sequence
 
 from . import serialize
 from .characters import oracle_degrees, oracle_multiplicity
 from .filtration import associated_graded
-from .gl2 import H_STYLE_LIE_PLUS_ELEMENTS, H_STYLES, rep_from_label
+from .gl2 import GROUP_FACTORS, H_STYLE_LIE_PLUS_ELEMENTS, H_STYLES, label_dim, label_factors, label_from_factors, rep_from_label
 from .homspaces import grid_labels, hom_dim, multiplicity, multiplicity_table
 from .rees import derees, rees_construct
 from .varieties import (
@@ -102,38 +103,32 @@ def _read_json(path: str) -> object:
 
 def _parse_label(text: str) -> object:
     try:
-        parts = text.split(";")
-        pairs = []
-        for part in parts:
+        factors = []
+        for part in text.split(";"):
             n, m = part.split(",")
-            pairs.append((int(n), int(m)))
-        if len(pairs) == 1:
-            return pairs[0]
-        if len(pairs) == 2:
-            return (pairs[0], pairs[1])
+            factors.append((int(n), int(m)))
     except ValueError:
-        pass
-    raise CliError(f"bad label {text!r}: expected 'n,m' or 'n,m;n2,m2'")
+        factors = []
+    if len(factors) not in GROUP_FACTORS.values():
+        raise CliError(f"bad label {text!r}: expected {_label_shape(1)} or {_label_shape(2)}")
+    return label_from_factors(factors)
 
 
-# The label shape each labeled group takes, as written on the command line.
-LABEL_SHAPES = {"GL2": "'n,m'", "GL2xGL2": "'n,m;n2,m2'"}
+def _label_shape(factors: int) -> str:
+    """How a label with that many (n, m) factors is written on the command line."""
+    return repr(";".join(("n,m", "n2,m2")[:factors]))
 
 
 def _check_label_shape(group: str, label: object, what: str) -> None:
     """Reject a label whose shape does not fit the group's representations."""
-    product = isinstance(label[0], tuple)  # type: ignore[index]
-    if group in LABEL_SHAPES and product != (group == "GL2xGL2"):
-        raise CliError(f"{what} does not fit group {group}: expected {LABEL_SHAPES[group]}")
+    factors = GROUP_FACTORS.get(group)
+    if factors is not None and len(label_factors(label)) != factors:
+        raise CliError(f"{what} does not fit group {group}: expected {_label_shape(factors)}")
 
 
 def _check_rep_dim(label: object, what: str) -> None:
     """Reject a label whose representation dimension exceeds MAX_REP_DIM."""
-    if isinstance(label[0], tuple):  # type: ignore[index]
-        (n, _), (n2, _) = label  # type: ignore[misc]
-        dim = max(n + 1, 0) * max(n2 + 1, 0)
-    else:
-        dim = max(label[0] + 1, 0)  # type: ignore[index]
+    dim = label_dim(label)
     if dim > MAX_REP_DIM:
         raise CliError(f"{what} needs representation dimension {dim}, above the bound {MAX_REP_DIM}")
 
@@ -179,39 +174,30 @@ def _load_variety(args: argparse.Namespace):
 def _grid_from_args(spec_group: str, args: argparse.Namespace, bounded: bool = False) -> list[object]:
     ranges = _parse_grid(args.grid)
     what = f"grid {args.grid!r}"
-    if spec_group == "GL2" and ("n2" in ranges or "m2" in ranges):
-        raise CliError(f"{what} does not fit group GL2: expected only n and m")
-    n, n2 = ranges["n"], ranges.get("n2", ranges["n"])
-    cells = len(n) * len(ranges["m"])
-    if spec_group == "GL2xGL2":
-        cells *= len(n2) * len(ranges.get("m2", ranges["m"]))
+    factors = GROUP_FACTORS.get(spec_group)
+    if factors is None:
+        raise CliError(f"no labeled grid for group {spec_group!r}")
+    if factors == 1 and ("n2" in ranges or "m2" in ranges):
+        raise CliError(f"{what} does not fit group {spec_group}: expected only n and m")
+    n, m = ranges["n"], ranges["m"]
+    spans = [(n, m), (ranges.get("n2", n), ranges.get("m2", m))][:factors]
+    cells = prod(len(ns) * len(ms) for ns, ms in spans)
     if cells > MAX_GRID_CELLS:
         raise CliError(f"{what} has {cells} cells, above the bound {MAX_GRID_CELLS}")
-    if bounded and n and n2:
+    if bounded and all(ns for ns, _ in spans):
         # the largest n (and n2) gives the grid's largest representation
-        _check_rep_dim((n[-1], 0) if spec_group == "GL2" else ((n[-1], 0), (n2[-1], 0)), what)
-    return grid_labels(spec_group, n, ranges["m"], ranges.get("n2"), ranges.get("m2"))
+        _check_rep_dim(label_from_factors([(ns[-1], 0) for ns, _ in spans]), what)
+    return grid_labels(spec_group, n, m, ranges.get("n2"), ranges.get("m2"))
 
 
 def _print_table(rows: list[tuple[object, int]], fmt: str) -> None:
     if fmt == "json":
-        payload = [{"label": _label_json(label), "multiplicity": mult} for label, mult in rows]
-        print(serialize.dumps(payload))
+        print(serialize.dumps([{"label": label, "multiplicity": mult} for label, mult in rows]))
         return
-    if rows and isinstance(rows[0][0], tuple) and isinstance(rows[0][0][0], tuple):
-        print("n\tm\tn2\tm2\tmultiplicity")
-        for (a, b), mult in rows:  # type: ignore[misc]
-            print(f"{a[0]}\t{a[1]}\t{b[0]}\t{b[1]}\t{mult}")
-    else:
-        print("n\tm\tmultiplicity")
-        for (n, m), mult in rows:  # type: ignore[misc]
-            print(f"{n}\t{m}\t{mult}")
-
-
-def _label_json(label: object) -> list:
-    if isinstance(label, tuple) and isinstance(label[0], tuple):
-        return [list(label[0]), list(label[1])]
-    return list(label)  # type: ignore[arg-type]
+    factors = len(label_factors(rows[0][0])) if rows else 1
+    print("\t".join(("n", "m", "n2", "m2")[: 2 * factors]) + "\tmultiplicity")
+    for label, mult in rows:
+        print(*(c for factor in label_factors(label) for c in factor), mult, sep="\t")
 
 
 def _cmd_rees(args: argparse.Namespace) -> int:
@@ -240,7 +226,7 @@ def _cmd_filtration(args: argparse.Namespace) -> int:
             mu = tuple(int(c) for c in args.mu.split(","))
         except ValueError:
             raise CliError(f"bad cocharacter {args.mu!r}: expected comma-separated integers") from None
-        group = "GL2xGL2" if isinstance(label[0], tuple) else "GL2"
+        group = next(g for g, k in GROUP_FACTORS.items() if k == len(label_factors(label)))
         filts = [cocharacter_filtration(rep_from_label(group, label), mu)]
     else:
         spec = _load_variety(args)

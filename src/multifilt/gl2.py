@@ -4,7 +4,10 @@ Irreducible GL2 representations are labeled (n, m): the n-th symmetric power
 of the standard representation twisted by the m-th power of the determinant.
 They are realized on the monomial basis x^(n-j) y^j, j = 0..n, where the
 diagonal torus diag(t1, t2) acts on basis vector j with weight
-(n - j + m, j + m).
+(n - j + m, j + m).  External products for GL2 x GL2 are labeled by a
+pair of such pairs, ((n, m), (n2, m2)).  Labels are plain tuples; every
+module reads them through label_factors and builds them through
+label_from_factors.
 
 Operator conventions.  Action operators are column-convention matrices
 (columns are images of basis vectors) and are listed in a fixed order so
@@ -30,13 +33,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .linalg import Mat, kron
 
 Weight = tuple[int, ...]
 Gl2Label = tuple[int, int]
-ProductLabel = tuple[Gl2Label, Gl2Label]
+
+# The groups that have labeled irreducibles, by the number of (n, m) factors
+# in their labels: (n, m) for GL2, ((n, m), (n2, m2)) for GL2 x GL2.
+GROUP_FACTORS = {"GL2": 1, "GL2xGL2": 2}
+
+_NEGATIVE_DEGREE = "the symmetric-power degree n must be nonnegative"
 
 H_STYLE_LIE_ONLY = "lie_only"
 H_STYLE_LIE_PLUS_ELEMENTS = "lie_plus_elements"
@@ -110,7 +119,7 @@ _E22 = Mat.from_rows([[0, 0], [0, 1]])
 def irrep_gl2(n: int, m: int) -> RepData:
     """The irreducible GL2 representation labeled (n, m)."""
     if n < 0:
-        raise ValueError("the symmetric-power degree n must be nonnegative")
+        raise ValueError(_NEGATIVE_DEGREE)
     weights = tuple((n - j + m, j + m) for j in range(n + 1))
     ops = tuple(_lie_op(x, n, m) for x in (_E12, _E21, _E11, _E22))
     return RepData(n + 1, weights, ops, label=(n, m))
@@ -123,7 +132,7 @@ def sym_power_matrix(g: Mat, n: int) -> Mat:
     g = [[a, b], [c, d]].  Satisfies sym(g @ h) = sym(g) @ sym(h).
     """
     if n < 0:
-        raise ValueError("the symmetric-power degree n must be nonnegative")
+        raise ValueError(_NEGATIVE_DEGREE)
     if g.rows != 2 or g.cols != 2:
         raise ValueError("sym_power_matrix expects a 2x2 matrix")
     entries = (g.at(0, 0), g.at(0, 1), g.at(1, 0), g.at(1, 1))
@@ -167,7 +176,7 @@ def irrep_element(g: Mat, n: int, m: int) -> Mat:
 def dual(n: int, m: int) -> Gl2Label:
     """Label of the dual representation; involutive."""
     if n < 0:
-        raise ValueError("the symmetric-power degree n must be nonnegative")
+        raise ValueError(_NEGATIVE_DEGREE)
     return (n, -n - m)
 
 
@@ -220,29 +229,52 @@ def stabilizer_action_binary_forms(n: int, m: int, style: str = H_STYLE_LIE_PLUS
     return GroupActionData(n + 1, (torus, reflection))
 
 
+def label_factors(label: object) -> tuple[Gl2Label, ...]:
+    """The (n, m) factors of a label, one per GL2 factor, after checking
+    that the label names a representation: a pair (n, m) or a pair of pairs,
+    as tuples or lists, of ints with every n >= 0."""
+    if isinstance(label, (tuple, list)) and label and type(label[0]) is int:
+        return _checked_factors((label,), label)
+    return _checked_factors(label, label)
+
+
+def label_from_factors(factors: Sequence[Sequence[int]]) -> object:
+    """The label with the given (n, m) factors, checked as label_factors
+    checks it; the inverse of label_factors."""
+    checked = _checked_factors(factors, factors)
+    return checked[0] if len(checked) == 1 else checked
+
+
+def _checked_factors(factors: object, label: object) -> tuple[Gl2Label, ...]:
+    if not (
+        isinstance(factors, (tuple, list))
+        and len(factors) in GROUP_FACTORS.values()
+        and all(isinstance(f, (tuple, list)) and len(f) == 2 and type(f[0]) is type(f[1]) is int for f in factors)
+    ):
+        raise ValueError(f"bad label {label!r}: expected (n, m) or ((n, m), (n2, m2)) with integer n and m")
+    if any(f[0] < 0 for f in factors):
+        raise ValueError(_NEGATIVE_DEGREE)
+    return tuple(map(tuple, factors))
+
+
 def rep_from_label(group: str, label: object) -> RepData:
     """Build the representation for a GL2 or GL2 x GL2 label."""
-    if group == "GL2":
-        n, m = label  # type: ignore[misc]
-        return irrep_gl2(int(n), int(m))
-    if group == "GL2xGL2":
-        a, b = label  # type: ignore[misc]
-        return external_rep((int(a[0]), int(a[1])), (int(b[0]), int(b[1])))
-    raise ValueError(f"no labeled representations for group {group!r}")
+    if group not in GROUP_FACTORS:
+        raise ValueError(f"no labeled representations for group {group!r}")
+    factors = label_factors(label)
+    if len(factors) != GROUP_FACTORS[group]:
+        raise ValueError(f"label {label!r} does not fit group {group}")
+    return irrep_gl2(*factors[0]) if len(factors) == 1 else external_rep(*factors)
 
 
 def weights_of_label(label: object) -> tuple[Weight, ...]:
     """Weight list of a labeled irreducible without building operators."""
-    if _is_gl2_label(label):
-        n, m = label  # type: ignore[misc]
-        return tuple((n - j + m, j + m) for j in range(n + 1))
-    a, b = label  # type: ignore[misc]
-    return tuple(w1 + w2 for w1 in weights_of_label(tuple(a)) for w2 in weights_of_label(tuple(b)))
+    weights: list[Weight] = [()]
+    for n, m in label_factors(label):
+        weights = [w + (n - j + m, j + m) for w in weights for j in range(n + 1)]
+    return tuple(weights)
 
 
-def _is_gl2_label(label: object) -> bool:
-    return (
-        isinstance(label, Sequence)
-        and len(label) == 2
-        and all(isinstance(c, int) for c in label)
-    )
+def label_dim(label: object) -> int:
+    """Dimension of a labeled irreducible without building it."""
+    return prod(n + 1 for n, _ in label_factors(label))

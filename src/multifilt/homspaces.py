@@ -24,10 +24,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
 from .filtration import FilteredSpace
-from .gl2 import GroupActionData, H_STYLE_LIE_PLUS_ELEMENTS, RepData, rep_from_label
+from .gl2 import GROUP_FACTORS, GroupActionData, H_STYLE_LIE_PLUS_ELEMENTS, RepData, label_from_factors, rep_from_label
 from .linalg import Mat, kernel, rank
 from .varieties import VarietySpec, cocharacter_filtration
 
@@ -202,10 +203,9 @@ def grid_labels(
 ) -> list[object]:
     """Labels of a rectangular grid; product groups reuse the first factor's
     ranges unless the second factor's are given."""
-    if group == "GL2":
-        return [(n, m) for n in n_range for m in m_range]
-    if group == "GL2xGL2":
-        n2 = n_range if n2_range is None else n2_range
-        m2 = m_range if m2_range is None else m2_range
-        return [((n, m), (np_, mp)) for n in n_range for m in m_range for np_ in n2 for mp in m2]
-    raise ValueError(f"no labeled grid for group {group!r}")
+    if group not in GROUP_FACTORS:
+        raise ValueError(f"no labeled grid for group {group!r}")
+    n2 = n_range if n2_range is None else n2_range
+    m2 = m_range if m2_range is None else m2_range
+    spans = [product(n_range, m_range), product(n2, m2)][: GROUP_FACTORS[group]]
+    return [label_from_factors(factors) for factors in product(*spans)]

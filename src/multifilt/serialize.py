@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Any
 
 from .filtration import FilteredSpace, GradedVectorSpace, make_filtered
-from .gl2 import GroupActionData, RepData, rep_from_label
+from .gl2 import GROUP_FACTORS, GroupActionData, RepData, rep_from_label
 from .homspaces import FiltObject
 from .linalg import Mat, Subspace
 from .rees import GradedFreeModule
@@ -130,23 +130,14 @@ def rep_from_json(value: Any, path: str = "$") -> RepData:
     obj = _expect_object(value, path)
     if "group" in obj:
         group = obj["group"]
-        label = obj.get("label")
-        lp = f"{path}.label"
+        # list membership compares by equality, so an unhashable JSON value is
+        # reported rather than raising TypeError
+        if group not in list(GROUP_FACTORS):
+            raise InputError(f"{path}.group", f"unknown group {group!r}")
         try:
-            if group == "GL2":
-                pair = _expect_list(label, lp)
-                return rep_from_label("GL2", (_expect_int(pair[0], lp), _expect_int(pair[1], lp)))
-            if group == "GL2xGL2":
-                pair = _expect_list(label, lp)
-                a = _expect_list(pair[0], f"{lp}[0]")
-                b = _expect_list(pair[1], f"{lp}[1]")
-                return rep_from_label(
-                    "GL2xGL2",
-                    ((_expect_int(a[0], lp), _expect_int(a[1], lp)), (_expect_int(b[0], lp), _expect_int(b[1], lp))),
-                )
-        except (IndexError, ValueError) as exc:
-            raise InputError(lp, str(exc)) from None
-        raise InputError(f"{path}.group", f"unknown group {group!r}")
+            return rep_from_label(group, obj.get("label"))
+        except ValueError as exc:
+            raise InputError(f"{path}.label", str(exc)) from None
     dim = _expect_int(obj.get("dim"), f"{path}.dim")
     weights = tuple(
         tuple(_expect_int(c, f"{path}.weights[{i}]") for c in _expect_list(w, f"{path}.weights[{i}]"))
@@ -204,7 +195,7 @@ def custom_variety_from_json(value: Any, path: str = "$") -> VarietySpec:
             for i, m in enumerate(_expect_list(mats, f"{path}.stabilizer_ops[{key!r}]"))
         ]
     group = obj.get("group", "generic")
-    if group not in ("generic", "GL2", "GL2xGL2"):
+    if group not in ["generic", *GROUP_FACTORS]:
         raise InputError(f"{path}.group", f"unknown group {group!r}")
     try:
         return custom_variety(rank_, cochars, weights, ops_table, group=group)

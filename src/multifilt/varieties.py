@@ -41,12 +41,14 @@ from typing import Callable, Mapping, Sequence
 
 from .filtration import FilteredSpace
 from .gl2 import (
+    GROUP_FACTORS,
     GroupActionData,
     H_STYLE_LIE_PLUS_ELEMENTS,
     RepData,
     Weight,
     external_rep,
     irrep_gl2,
+    label_factors,
     stabilizer_action_binary_forms,
 )
 from .linalg import Mat, Subspace, frac
@@ -109,6 +111,9 @@ class VarietySpec:
     stabilizer: StabilizerRecipe = field(compare=False)
 
     def __post_init__(self) -> None:
+        factors = GROUP_FACTORS.get(self.group)
+        if factors is not None and self.rank != 2 * factors:
+            raise ValueError(f"group {self.group} has torus rank {2 * factors}, not {self.rank}")
         for mu in self.boundary_cocharacters:
             if len(mu) != self.rank:
                 raise ValueError("cocharacter length does not match the torus rank")
@@ -120,18 +125,18 @@ class VarietySpec:
         return self.stabilizer(rep, style)
 
     def trivial_rep(self) -> RepData:
-        if self.group == "GL2":
-            return irrep_gl2(0, 0)
-        if self.group == "GL2xGL2":
-            return external_rep((0, 0), (0, 0))
-        return RepData(1, ((0,) * self.rank,), (), label="trivial")
+        factors = GROUP_FACTORS.get(self.group)
+        if factors is None:
+            return RepData(1, ((0,) * self.rank,), (), label="trivial")
+        return irrep_gl2(0, 0) if factors == 1 else external_rep((0, 0), (0, 0))
 
 
 def _binary_forms_stabilizer(rep: RepData, style: str) -> GroupActionData:
-    label = rep.label
-    if not (isinstance(label, tuple) and len(label) == 2 and all(isinstance(c, int) for c in label)):
-        raise ValueError("binary-forms stabilizer needs a labeled GL2 irreducible")
-    return stabilizer_action_binary_forms(label[0], label[1], style)
+    try:
+        ((n, m),) = label_factors(rep.label)
+    except ValueError:
+        raise ValueError("binary-forms stabilizer needs a labeled GL2 irreducible") from None
+    return stabilizer_action_binary_forms(n, m, style)
 
 
 def _matrix_variety_stabilizer(rep: RepData, style: str) -> GroupActionData:
@@ -182,11 +187,7 @@ def label_key(label: object) -> str:
     """Canonical string key of a representation label, e.g. "2,0" or "1,0;2,1"."""
     if isinstance(label, str):
         return label
-    if isinstance(label, tuple) and len(label) == 2 and all(isinstance(c, int) for c in label):
-        return f"{label[0]},{label[1]}"
-    if isinstance(label, tuple) and len(label) == 2:
-        return ";".join(label_key(part) for part in label)
-    raise ValueError(f"cannot key label {label!r}")
+    return ";".join(f"{n},{m}" for n, m in label_factors(label))
 
 
 def builtin_variety(name: str) -> VarietySpec:

@@ -6,9 +6,10 @@ cocharacter filtration spanned from unit vectors and normalized by
 make_filtered, Gauss-Jordan elimination and subspace membership carried out
 step by step in Fraction arithmetic, and symmetric powers of 2x2 matrices
 expanded in Fractions, matrices stored densely with arithmetic on every
-entry, and the subspace basis check that tests each pivot column entry by
-entry.  They live only here, so that tests can compare the library against
-them on many inputs.
+entry, the subspace basis check that tests each pivot column entry by
+entry, and grid labels written as one nested loop per group.  They live
+only here, so that tests can compare the library against them on many
+inputs.
 """
 
 from __future__ import annotations
@@ -218,3 +219,18 @@ def reference_check_subspace_basis(ambient_dim: int, basis: Sequence[Sequence]) 
             if k != i and basis[k][p] != 0:
                 raise ValueError("subspace basis is not in reduced row echelon form")
         last_pivot = p
+
+
+def reference_grid_labels(
+    group: str,
+    n_range: Sequence[int],
+    m_range: Sequence[int],
+    n2_range: Sequence[int] | None = None,
+    m2_range: Sequence[int] | None = None,
+) -> list[object]:
+    """Grid labels as nested loops, with the second factor's ranges defaulting to the first's."""
+    if group == "GL2":
+        return [(n, m) for n in n_range for m in m_range]
+    n2 = n_range if n2_range is None else n2_range
+    m2 = m_range if m2_range is None else m2_range
+    return [((n, m), (np_, mp)) for n in n_range for m in m_range for np_ in n2 for mp in m2]

@@ -95,6 +95,24 @@ def test_oracle_matrices():
     assert oracle_multiplicity(mats, ((2, -1), (2, -1)), 12) == 0
 
 
+def test_oracle_reads_labels_like_rep_from_label():
+    forms = builtin_variety(BINARY_QUADRATIC_FORMS)
+    mats = builtin_variety(TWO_BY_TWO_MATRICES)
+    assert oracle_multiplicity(forms, [2, 0]) == 1
+    assert oracle_multiplicity(mats, [[1, 0], [1, 0]]) == 1
+    for spec, label in [
+        (forms, (-4, 4)),
+        (forms, (2.0, 0)),
+        (forms, (True, 0)),
+        (forms, (2, 0, 0)),
+        (forms, ((2, 0), (0, 0))),
+        (mats, (2, 0)),
+        (mats, ((1, 0), (-1, 0))),
+    ]:
+        with pytest.raises(ValueError):
+            oracle_multiplicity(spec, label, 10)
+
+
 def test_oracle_degree_bound():
     # label (2, 0) lives in degree 1 only; a zero degree bound misses it
     forms = builtin_variety(BINARY_QUADRATIC_FORMS)

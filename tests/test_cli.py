@@ -207,6 +207,39 @@ def test_label_of_the_wrong_shape_rejected(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+def test_labels_naming_no_representation_rejected(capsys):
+    code, out, err = _run(capsys, ["oracle", "--variety", "BinaryQuadraticForms", "--label=-4,4"])
+    assert code == 2 and out == "" and "nonnegative" in err
+    for command in ("multiplicity", "oracle"):
+        code, out, err = _run(capsys, [command, "--variety", "BinaryQuadraticForms", "--grid", "n=-3..0,m=0..2"])
+        assert code == 2 and out == "" and "nonnegative" in err
+
+
+def test_hom_dim_rejects_labels_with_extra_components(tmp_path, capsys):
+    rest = {"h_action": {"dim": 1, "intertwiner_constraints": []}, "filtrations": []}
+    ok = {"rep": {"group": "GL2", "label": [0, 0]}, **rest}
+    for group, label in (("GL2", [0, 0, 5]), ("GL2xGL2", [[0, 0, 9], [0, 0], [3, 3]]), ("GL2xGL2", [[0, 0, 9], [0, 0]])):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"a": {"rep": {"group": group, "label": label}, **rest}, "b": ok}))
+        code, out, err = _run(capsys, ["hom-dim", str(path)])
+        assert code == 2 and out == "" and "$.a.rep.label" in err
+
+
+def test_custom_variety_group_must_match_rank(tmp_path, capsys):
+    matrix_weights = {"group_rank": 4, "cocharacters": [[1, 1, 0, -1]], "x_module_weights": [[-1, 0, -1, 0], [-1, 0, 0, -1], [0, -1, -1, 0], [0, -1, 0, -1]]}
+    forms_weights = {"group_rank": 2, "cocharacters": [[1, 0]], "x_module_weights": [[-2, 0], [-1, -1], [0, -2]]}
+    for spec, label in (({"group": "GL2", **matrix_weights}, "1,0"), ({"group": "GL2xGL2", **forms_weights}, "2,0;0,0")):
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(spec))
+        for command in ("oracle", "multiplicity"):
+            code, out, err = _run(capsys, [command, "--variety-file", str(path), "--label", label])
+            assert code == 2 and out == "" and f"group {spec['group']} has torus rank" in err
+    # a generic group takes any rank
+    path.write_text(json.dumps(matrix_weights))
+    code, out, _ = _run(capsys, ["oracle", "--variety-file", str(path), "--label", "1,0;1,0"])
+    assert code == 0 and out.strip() == "1"
+
+
 def _run_with_memory_cap(args, cap_mb=512):
     """Run the CLI in a child process whose address space is capped, so that
     a grid materialized in full fails in the child instead of exhausting the

@@ -9,6 +9,7 @@ from multifilt.gl2 import (
     dual,
     external_rep,
     irrep_gl2,
+    rep_from_label,
     restrict_to_diagonal,
     stabilizer_action_binary_forms,
     sym_power_matrix,
@@ -112,6 +113,33 @@ def test_external_rep():
     twisted = external_rep((1, 0), (0, 1))
     assert twisted.dim == 2
     assert set(twisted.weights) == {(1, 0, 1, 1), (0, 1, 1, 1)}
+
+
+MALFORMED_LABELS = [
+    ("GL2", (2.7, 0)),
+    ("GL2", (2, 0.0)),
+    ("GL2", ("2", 0)),
+    ("GL2", (True, 0)),
+    ("GL2", (-1, 0)),
+    ("GL2", (2, 0, 1)),
+    ("GL2", None),
+    ("GL2", ((1, 0), (1, 0))),
+    ("GL2xGL2", (2, 0)),
+    ("GL2xGL2", ((1, 0), (-1, 0))),
+    ("GL2xGL2", ((1, 0), (1, 0), (1, 0))),
+    ("GL2xGL2", ((1, 0, 5), (1, 0))),
+]
+
+
+@pytest.mark.parametrize("group, label", MALFORMED_LABELS)
+def test_rep_from_label_rejects_malformed_labels(group, label):
+    with pytest.raises(ValueError):
+        rep_from_label(group, label)
+
+
+def test_rep_from_label_reads_lists():
+    assert rep_from_label("GL2", [2, 0]).label == (2, 0)
+    assert rep_from_label("GL2xGL2", [[1, 0], (2, 1)]).label == ((1, 0), (2, 1))
 
 
 def test_restrict_to_diagonal():

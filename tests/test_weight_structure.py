@@ -6,7 +6,9 @@ import random
 import pytest
 
 from multifilt import homspaces
-from multifilt.gl2 import GroupActionData, RepData, rep_from_label
+from multifilt.characters import label_weight_sum
+from multifilt.cli import _parse_label
+from multifilt.gl2 import GroupActionData, RepData, label_dim, rep_from_label, weights_of_label
 from multifilt.homspaces import FiltObject, grid_labels, hom_basis, hom_dim
 from multifilt.linalg import Mat
 from multifilt.varieties import (
@@ -14,9 +16,10 @@ from multifilt.varieties import (
     TWO_BY_TWO_MATRICES,
     builtin_variety,
     cocharacter_filtration,
+    label_key,
 )
 from multifilt.verify import random_filt_object_pair, random_filtered_space
-from reference_paths import reference_cocharacter_filtration, reference_hom_basis, reference_hom_dim
+from reference_paths import reference_cocharacter_filtration, reference_grid_labels, reference_hom_basis, reference_hom_dim
 
 
 def _diag(*entries):
@@ -125,3 +128,35 @@ def test_filtrations_match_reference_on_random_weights():
         mu = tuple(rng.randint(-2, 2) for _ in range(rank_))
         _assert_filtration_matches(RepData(dim, weights, ()), mu)
 
+
+
+def _paper_and_large_labels():
+    yield from (("GL2", label) for label in grid_labels("GL2", range(0, 9), range(-6, 7)))
+    yield from (("GL2xGL2", label) for label in grid_labels("GL2xGL2", range(0, 5), range(-2, 4)))
+    yield from (("GL2xGL2", ((n, 1), (n, 1))) for n in range(0, 13))
+
+
+def test_label_reader_agrees_with_built_representations():
+    for group, label in _paper_and_large_labels():
+        rep = rep_from_label(group, label)
+        assert weights_of_label(label) == rep.weights, label
+        assert label_dim(label) == rep.dim, label
+        assert {sum(w) for w in rep.weights} == {label_weight_sum(label)}, label
+        assert _parse_label(label_key(label)) == label
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        (range(0, 3), range(-1, 2)),
+        (range(0, 0), range(-1, 2)),
+        (range(0, 3), range(2, 1)),
+        (range(1, 3), range(0, 2), range(0, 1)),
+        (range(1, 3), range(0, 2), None, range(-2, -1)),
+        (range(0, 2), range(0, 1), range(3, 5), range(4, 6)),
+        (range(0, 2), range(0, 1), range(0, 0), range(0, 1)),
+    ],
+)
+def test_grid_labels_match_nested_loops(ranges):
+    for group in ("GL2", "GL2xGL2"):
+        assert grid_labels(group, *ranges) == reference_grid_labels(group, *ranges)
