@@ -55,12 +55,14 @@ VARIETY_NAMES = (BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES)
 # Largest representation dimension that multiplicity and filtration accept,
 # checked before any operator is built.  169 is the largest benchmarked cell,
 # ((12,1),(12,1)).  Measured at this bound on one core of a 2-vCPU Intel Xeon
-# under Python 3.11: that cell's multiplicity takes 0.13 s, the slowest label
+# under Python 3.11: that cell's multiplicity takes 0.10 s, the slowest label
 # shape, forms (168,0) whose reflection carries binomial coefficients, takes
-# about 1.1 s, and its filtration output is 12 MB (212 MB peak RSS).  The
-# label 200,0;200,0 (dimension 40401) builds its eight sparse operators
-# (321600 nonzeros) in 0.6 s, but its cocharacter flag's dense unit rows
-# alone would hold 40401^2 entries.
+# about 1.1 s, and its filtration output is 12 MB (212 MB peak RSS, nearly
+# all of it the JSON rendering of every step's dense basis).  A flag stores
+# one entry per basis vector of each step, so with the bound lifted the
+# label 200,0;200,0 (dimension 40401, a 201-step flag of 4.1 million rows)
+# gets its multiplicity in 3.3 s at 179 MB peak RSS; but its filtration
+# output would print every step's dense basis, about 10^14 entries.
 MAX_REP_DIM = 169
 
 # Largest coordinate-ring degree that oracle decomposes, checked before any
@@ -78,6 +80,16 @@ MAX_ORACLE_DEGREE = 80
 # RSS) in multiplicity and 0.4 s in oracle; the paper's grid has 900 cells
 # (1.2 s in multiplicity).
 MAX_GRID_CELLS = 10_000
+
+# Largest number of Hom variables, a.dim x b.dim, that hom-dim accepts,
+# checked once the pair is read and before any system is built.  It equals
+# the largest built-in Hom system, a dimension-169 cell against the trivial
+# object.  Measured on the same host with random dense integer constraints
+# and a two-step flag on each side: a 13x13 pair takes 0.64 s with one
+# constraint and 4.2 s with three; a 16x16 pair (256 variables) takes 4.5 s
+# and 20 s, and 18x18 takes 11 s with one.  Peak RSS stays near 30 MB, so
+# time is what the bound limits.
+MAX_HOM_VARS = 169
 
 
 class CliError(Exception):
@@ -190,11 +202,11 @@ def _grid_from_args(spec_group: str, args: argparse.Namespace, bounded: bool = F
     return grid_labels(spec_group, n, m, ranges.get("n2"), ranges.get("m2"))
 
 
-def _print_table(rows: list[tuple[object, int]], fmt: str) -> None:
+def _print_table(rows: list[tuple[object, int]], fmt: str, group: str) -> None:
     if fmt == "json":
         print(serialize.dumps([{"label": label, "multiplicity": mult} for label, mult in rows]))
         return
-    factors = len(label_factors(rows[0][0])) if rows else 1
+    factors = GROUP_FACTORS[group]
     print("\t".join(("n", "m", "n2", "m2")[: 2 * factors]) + "\tmultiplicity")
     for label, mult in rows:
         print(*(c for factor in label_factors(label) for c in factor), mult, sep="\t")
@@ -244,6 +256,8 @@ def _cmd_hom_dim(args: argparse.Namespace) -> int:
         raise CliError("hom-dim expects a JSON object with fields 'a' and 'b'")
     a = serialize.filt_object_from_json(payload["a"], "$.a")
     b = serialize.filt_object_from_json(payload["b"], "$.b")
+    if a.rep.dim * b.rep.dim > MAX_HOM_VARS:
+        raise CliError(f"pair needs {a.rep.dim} x {b.rep.dim} = {a.rep.dim * b.rep.dim} Hom variables, above the bound {MAX_HOM_VARS}")
     try:
         print(hom_dim(a, b))
     except ValueError as exc:
@@ -262,7 +276,7 @@ def _cmd_multiplicity(args: argparse.Namespace) -> int:
     if args.grid is None:
         raise CliError("multiplicity needs --label or --grid")
     rows = multiplicity_table(spec, _grid_from_args(spec.group, args, bounded=True), args.h_style)
-    _print_table(rows, args.format)
+    _print_table(rows, args.format, spec.group)
     return 0
 
 
@@ -279,7 +293,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     labels = sorted(_grid_from_args(spec.group, args))
     _check_oracle_degree(spec, labels, args.max_degree, f"grid {args.grid!r}")
     rows = [(label, oracle_multiplicity(spec, label, args.max_degree)) for label in labels]
-    _print_table(rows, args.format)
+    _print_table(rows, args.format, spec.group)
     return 0
 
 

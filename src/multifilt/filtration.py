@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .linalg import AmbientMismatch, Mat, Subspace, Vector, subspace_contains, subspace_sum
+from .linalg import AmbientMismatch, Mat, Subspace, Vector, subspace_sum
 
 
 class NotDecreasing(ValueError):
@@ -50,7 +50,7 @@ class GradedVectorSpace:
         return sum(d for _, d in self.pieces)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilteredSpace:
     """Sparse normalized filtration.
 
@@ -117,11 +117,11 @@ def is_filtration_morphism(f: Mat, src: FilteredSpace, dst: FilteredSpace) -> bo
     """True iff f(F_src(i)) lies inside F_dst(i) for every integer i."""
     if f.cols != src.dim or f.rows != dst.dim:
         raise AmbientMismatch(f"map shape {f.rows}x{f.cols} does not match {dst.dim}x{src.dim}")
+    image = f.transpose()
     for i in sorted(set(src.jumps()) | set(dst.jumps())):
-        target = dst.at(i)
-        for v in src.at(i).basis:
-            if not subspace_contains(target, f.matvec(v)):
-                return False
+        # row k of basis @ f^T is f applied to basis vector k
+        if not dst.at(i).contains_rows(src.at(i).basis_matrix() @ image):
+            return False
     return True
 
 
@@ -144,8 +144,9 @@ def adapted_basis(fs: FilteredSpace) -> tuple[tuple[Vector, int], ...]:
     chosen: list[tuple[Vector, int]] = []
     span = Subspace.zero(fs.dim)
     for idx, sub in reversed(fs.steps):
-        for v in sub.basis:
-            if not subspace_contains(span, v):
-                chosen.append((v, idx))
-                span = subspace_sum(span, Subspace.span(fs.dim, [v]))
+        for row in sub.sparse_rows:
+            line = Mat.from_sparse_rows([row], fs.dim)
+            if not span.contains_rows(line):
+                chosen.append((line.row(0), idx))
+                span = subspace_sum(span, Subspace.row_space(line))
     return tuple(chosen)

@@ -122,8 +122,7 @@ def _hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, list[int]]:
             ann_rows = fb.at(p).annihilator_matrix().sparse_rows
             if not ann_rows:
                 continue
-            for v in fa.at(p).basis:
-                v_nonzero = [(c, x) for c, x in enumerate(v) if x]
+            for v_nonzero in fa.at(p).sparse_rows:
                 # annihilator rows of the target step kill f v
                 for u_nonzero in ann_rows:
                     emit({var[r, c]: ur * vc for r, ur in u_nonzero for c, vc in v_nonzero if (r, c) in var})
@@ -160,11 +159,12 @@ def hom_basis(a: FiltObject, b: FiltObject) -> list[Mat]:
     da, db = a.rep.dim, b.rep.dim
     system, free = _hom_system(a, b)
     out = []
-    for v in kernel(system).basis:
-        entries = [Fraction(0)] * (da * db)
-        for k, x in zip(free, v):
-            entries[k] = x
-        out.append(Mat(db, da, tuple(entries)))
+    for v in kernel(system).sparse_rows:
+        rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(db)]
+        for k, x in v:
+            r, c = divmod(free[k], da)
+            rows[r].append((c, x))
+        out.append(Mat.from_sparse_rows(rows, da))
     return out
 
 

@@ -3,9 +3,10 @@
 Matrices are immutable, carry ``Fraction`` entries and store only their
 nonzero entries, row by row, so that building, adding, multiplying and
 stacking them costs their nonzeros rather than their shapes.  Subspaces are
-stored by their reduced row echelon basis (dense vectors), so two equal
-subspaces have equal representations and ``==`` is a genuine subspace
-equality test.
+stored by their reduced row echelon basis, in the same row layout, so two
+equal subspaces have equal representations, ``==`` is a genuine subspace
+equality test, and checking, comparing and reducing against a basis costs
+its nonzeros: a coordinate subspace costs one entry per basis vector.
 
 Elimination runs on integers.  Each row is scaled by the lcm of its
 denominators and reduced fraction-free on Python ints; rank stops at the
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import lt
 from typing import Iterable, Sequence
 
 QQ = Fraction
@@ -29,6 +31,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 _NOT_RREF = "subspace basis is not in reduced row echelon form"
+
+# Mat and Subspace are frozen and slotted (no per-instance dict, which a
+# large input of small subspaces would pay for), so their constructors set
+# fields through object.__setattr__.
+_set = object.__setattr__
 
 
 class AmbientMismatch(ValueError):
@@ -56,7 +63,7 @@ def _check_shape(rows: int, cols: int) -> None:
         raise ValueError("negative matrix shape")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Mat:
     """Rational matrix that stores only its nonzero entries.
 
@@ -75,7 +82,7 @@ class Mat:
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
         sparse = tuple(_nonzeros(entries[i * cols : (i + 1) * cols]) for i in range(rows))
-        self.__dict__.update(rows=rows, cols=cols, sparse_rows=sparse)
+        _init_mat(self, rows, cols, sparse)
 
     @staticmethod
     def from_rows(rows: Sequence[Iterable[object]], cols: int | None = None) -> "Mat":
@@ -178,8 +185,14 @@ class Mat:
 def _mat(rows: int, cols: int, sparse_rows: tuple[SparseRow, ...]) -> Mat:
     """A matrix from rows already in stored form (sorted, no zero values)."""
     m = object.__new__(Mat)
-    m.__dict__.update(rows=rows, cols=cols, sparse_rows=sparse_rows)
+    _init_mat(m, rows, cols, sparse_rows)
     return m
+
+
+def _init_mat(m: Mat, rows: int, cols: int, sparse_rows: tuple[SparseRow, ...]) -> None:
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "sparse_rows", sparse_rows)
 
 
 def _nonzeros(v: Sequence[object]) -> SparseRow:
@@ -302,58 +315,58 @@ def rank(m: Mat) -> int:
     return len(_eliminate(_int_rows(m), m.cols, reduced=False))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Subspace:
-    """Subspace of QQ^n, held as a reduced row echelon basis (canonical)."""
+    """Subspace of QQ^n, held as its reduced row echelon basis (canonical).
+
+    Basis row i is ``sparse_rows[i]``: its (column, value) nonzeros in
+    column order, the layout of ``Mat.sparse_rows``, so that a row's first
+    pair is its pivot with value 1.  ``basis`` is the dense view.  Two
+    subspaces are equal exactly when their ambient dimensions and echelon
+    bases are, and every check costs the basis's nonzeros.
+    """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    sparse_rows: tuple[SparseRow, ...]
 
-    def __post_init__(self) -> None:
-        # Rows are checked by counting stretches against the shared zero
-        # (count tests identity before value), looking for each pivot only
-        # after the previous one.  The prefix up to the previous pivot covers
-        # the earlier pivot columns; later ones are read entry by entry, and
-        # only in rows with a nonzero after their pivot.  Before rejecting,
-        # _check_pivot_columns raises any pivot-column fault that a check of
-        # each column as soon as its pivot is found would have met first.
-        n = self.ambient_dim
-        pivots: list[int] = []
-        p = -1
-        for row in self.basis:
-            if len(row) != n:
-                fault = AmbientMismatch("basis row length does not match ambient dimension")
-            elif row[: p + 1].count(_ZERO) != p + 1:
-                fault = ValueError(_NOT_RREF)
-            else:
-                for p in range(p + 1, n):
-                    if row[p]:
-                        break
-                else:
-                    p = -1
-                if p < 0:
-                    fault = ValueError("zero row in subspace basis")
-                elif row[p] is not _ONE and row[p] != 1:
-                    fault = ValueError(_NOT_RREF)
-                else:
-                    pivots.append(p)
-                    continue
-            self._check_pivot_columns(pivots)
-            raise fault
-        for i, (row, p) in enumerate(zip(self.basis, pivots)):
-            tail = row[p + 1 :]
-            if tail.count(_ZERO) != len(tail):
-                later = [row[q] for q in pivots[i + 1 :]]
-                if later.count(_ZERO) != len(later):
-                    self._check_pivot_columns(pivots)
-
-    def _check_pivot_columns(self, pivots: list[int]) -> None:
-        """Raise if one of the given pivot columns is nonzero outside its
-        pivot row, testing pivot by pivot and, for each, row by row."""
-        for i, p in enumerate(pivots):
-            for k, row in enumerate(self.basis):
-                if k != i and row[p] != 0:
+    def __init__(self, ambient_dim: int, basis: Sequence[Sequence[object]]) -> None:
+        """The subspace whose reduced row echelon basis is given as dense rows."""
+        rows = tuple(tuple([(j, x if type(x) is Fraction else Fraction(x)) for j, x in enumerate(row) if x]) for row in basis)
+        if any(len(row) != ambient_dim for row in basis) or not _is_echelon(rows, ambient_dim):
+            # Raise the fault that a check of one row at a time meets first:
+            # for row i, its length, a nonzero entry, a leading 1 right of the
+            # previous pivot, then its pivot column, read in every other row
+            # in order.  This reads entry by entry, so it runs only once the
+            # O(nnz) check has failed.
+            last = -1
+            for i, row in enumerate(basis):
+                if len(row) != ambient_dim:
+                    raise AmbientMismatch("basis row length does not match ambient dimension")
+                p = next((j for j, x in enumerate(row) if x), None)
+                if p is None:
+                    raise ValueError("zero row in subspace basis")
+                if p <= last or row[p] != 1 or any(basis[k][p] for k in range(len(basis)) if k != i):
                     raise ValueError(_NOT_RREF)
+                last = p
+            raise ValueError(_NOT_RREF)
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "sparse_rows", rows)
+
+    @staticmethod
+    def from_sparse_rows(ambient_dim: int, rows: Iterable[SparseRow]) -> "Subspace":
+        """The subspace whose reduced row echelon basis is given as rows in
+        the stored layout of ``Mat.sparse_rows``; the rows are kept, not
+        copied, so subspaces built from the same rows share them."""
+        rows = tuple(map(tuple, rows))
+        if not _is_echelon(rows, ambient_dim):
+            raise ValueError("zero row in subspace basis" if not all(rows) else _NOT_RREF)
+        return _subspace(ambient_dim, rows)
+
+    @staticmethod
+    def row_space(m: Mat) -> "Subspace":
+        """The span of the rows of m."""
+        red, pivots = rref(m)
+        return _subspace(m.cols, red.sparse_rows[: len(pivots)])
 
     @staticmethod
     def span(ambient_dim: int, vectors: Sequence[Iterable[object]]) -> "Subspace":
@@ -361,58 +374,105 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("spanning vector length does not match ambient dimension")
-        red, pivots = rref(_mat(len(vecs), ambient_dim, tuple(_nonzeros(v) for v in vecs)))
-        return Subspace(ambient_dim, tuple(_dense(row, ambient_dim) for row in red.sparse_rows[: len(pivots)]))
+        return Subspace.row_space(_mat(len(vecs), ambient_dim, tuple(_nonzeros(v) for v in vecs)))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
+        return _subspace(ambient_dim, ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace.span(ambient_dim, [r for r in Mat.identity(ambient_dim).row_list()])
+        return _subspace(ambient_dim, Mat.identity(ambient_dim).sparse_rows)
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        return tuple(_dense(row, self.ambient_dim) for row in self.sparse_rows)
 
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.sparse_rows)
 
     def is_full(self) -> bool:
         return self.dim() == self.ambient_dim
 
     def basis_matrix(self) -> Mat:
-        return _mat(len(self.basis), self.ambient_dim, tuple(_nonzeros(v) for v in self.basis))
+        return _mat(len(self.sparse_rows), self.ambient_dim, self.sparse_rows)
 
     def annihilator_matrix(self) -> Mat:
         """Rows u with u.v = 0 for all v in the subspace; v lies in the
         subspace iff this matrix kills v."""
-        ann = kernel(self.basis_matrix()).basis
-        return _mat(len(ann), self.ambient_dim, tuple(_nonzeros(v) for v in ann))
+        return kernel(self.basis_matrix()).basis_matrix()
+
+    def contains_rows(self, m: Mat) -> bool:
+        """Whether every row of m lies in the subspace.  A row w does exactly
+        when w minus w[p] times the basis row of pivot p, summed over the
+        pivots p, vanishes: each basis row is zero in the other pivot
+        columns, so these coefficients are read off w itself."""
+        if m.rows and m.cols != self.ambient_dim:
+            raise AmbientMismatch("vector length does not match ambient dimension")
+        by_pivot = {row[0][0]: row for row in self.sparse_rows}
+        for w in m.sparse_rows:
+            rest = dict(w)
+            for p, c in w:
+                for j, x in by_pivot.get(p, ()):
+                    rest[j] = rest.get(j, 0) - c * x
+            if any(rest.values()):
+                return False
+        return True
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(subspace_contains(self, v) for v in other.basis)
+        return self.contains_rows(other.basis_matrix())
+
+
+def _subspace(ambient_dim: int, sparse_rows: tuple[SparseRow, ...]) -> Subspace:
+    """A subspace from rows already in stored form and echelon form."""
+    s = object.__new__(Subspace)
+    _set(s, "ambient_dim", ambient_dim)
+    _set(s, "sparse_rows", sparse_rows)
+    return s
+
+
+def _is_echelon(rows: Sequence[SparseRow], n: int) -> bool:
+    """Whether rows are a reduced row echelon basis of QQ^n in stored form.
+
+    Each row leads with a 1 right of the previous row's pivot, its other
+    columns increase and lie below n, its values are nonzero Fractions, and
+    no row has another nonzero in a pivot column.  Runs in O(nnz) against
+    the set of pivots.
+    """
+    if not all(rows):
+        return False
+    pivots = [row[0][0] for row in rows]
+    leads = [row[0][1] for row in rows]
+    steps = [(a, b) for row in rows if len(row) > 1 for (a, _), b in zip(row, row[1:])]
+    pivot_set = set(pivots)
+    return (
+        set(map(type, pivots)) <= {int}
+        and all(map(lt, [-1] + pivots, pivots + [n]))
+        and set(map(type, leads)) <= {Fraction}
+        and leads.count(_ONE) == len(leads)
+        and all(a < j < n and j not in pivot_set and type(x) is Fraction and x for a, (j, x) in steps)
+    )
 
 
 def kernel(m: Mat) -> Subspace:
-    """Right kernel {v : m.v = 0} as a canonical subspace of QQ^cols."""
+    """Right kernel {v : m.v = 0} as a canonical subspace of QQ^cols.
+
+    Free column c gives the vector with 1 at c and -row[c] / row[pc] at the
+    pivot column pc of each reduced row; those pivots lie left of c."""
     rows = _int_rows(m)
     pivots = _eliminate(rows, m.cols, reduced=True)
     pivot_set = set(pivots)
     vecs = []
     for c in range(m.cols):
-        if c in pivot_set:
-            continue
-        v = [_ZERO] * m.cols
-        v[c] = _ONE
-        for row, pc in zip(rows, pivots):
-            if row[c]:
-                v[pc] = Fraction(-row[c], row[pc])
-        vecs.append(v)
-    return Subspace.span(m.cols, vecs)
+        if c not in pivot_set:
+            vecs.append(tuple([(pc, Fraction(-row[c], row[pc])) for row, pc in zip(rows, pivots) if row[c]] + [(c, _ONE)]))
+    return Subspace.row_space(_mat(len(vecs), m.cols, tuple(vecs)))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("subspace sum needs matching ambient dimensions")
-    return Subspace.span(a.ambient_dim, list(a.basis) + list(b.basis))
+    return Subspace.row_space(vstack(a.basis_matrix(), b.basis_matrix()))
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -424,13 +484,5 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 def subspace_contains(s: Subspace, v: Iterable[object]) -> bool:
     """Membership of a vector in the row space, by reduction against the
     echelon basis."""
-    w = list(vector(v))
-    if len(w) != s.ambient_dim:
-        raise AmbientMismatch("vector length does not match ambient dimension")
-    p = -1
-    for row in s.basis:
-        p = next(j for j in range(p + 1, s.ambient_dim) if row[j])
-        c = w[p]
-        if c:
-            w = [a - c * b if b else a for a, b in zip(w, row)]
-    return not any(w)
+    w = vector(v)
+    return s.contains_rows(_mat(1, len(w), (_nonzeros(w),)))

@@ -30,8 +30,10 @@ Conventions pinned by the built-ins (printed by the CLI as well):
   stabilizer of the identity matrix is then the twisted diagonal
   {(g, transpose-inverse of g)}, a connected copy of GL2, realized on a
   product representation by pairing each factor operator with minus the
-  transposed operator of the other factor.  Boundary cocharacter
-  (1, 1, 0, -1).
+  transposed operator of the other factor.  The constraints are written
+  directly from the label as sparse rows: e x 1 - 1 x f and f x 1 - 1 x e
+  have at most two nonzeros per row, and the torus pairs are diagonal with
+  the weight differences as eigenvalues.  Boundary cocharacter (1, 1, 0, -1).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .gl2 import (
     label_factors,
     stabilizer_action_binary_forms,
 )
-from .linalg import Mat, Subspace, frac
+from .linalg import Mat, Subspace
 
 Cocharacter = tuple[int, ...]
 
@@ -78,15 +80,14 @@ def cocharacter_filtration(rep: RepData, mu: Cocharacter) -> FilteredSpace:
     The basis is a weight basis, so every step is a coordinate subspace and
     its unit vectors, in index order, are already its canonical echelon
     basis.  Each attained value is a jump, because its own basis vectors
-    leave the step above it.
+    leave the step above it.  All steps share the unit rows ((b, 1),), so a
+    step costs one entry per basis vector.
     """
     dim = rep.dim
     values = [-pairing(mu, chi) for chi in rep.weights]
-    # the shared zero and one, which Subspace's checks recognize by identity
-    zero, one = frac(0), frac(1)
-    units = [(zero,) * b + (one,) + (zero,) * (dim - b - 1) for b in range(dim)]
+    units = Mat.identity(dim).sparse_rows
     steps = tuple(
-        (v, Subspace(dim, tuple(units[b] for b in range(dim) if values[b] >= v)))
+        (v, Subspace.from_sparse_rows(dim, [units[b] for b in range(dim) if values[b] >= v]))
         for v in sorted(set(values))
     )
     return FilteredSpace(dim, steps)
@@ -144,11 +145,24 @@ def _matrix_variety_stabilizer(rep: RepData, style: str) -> GroupActionData:
     # factor and -X^T on the right, so E12 pairs with -E21 and so on.  The
     # group is connected, so both styles produce the same constraints.
     del style
-    ops = rep.action_ops
-    if len(ops) != 8:
-        raise ValueError("matrix-variety stabilizer needs paired factor operators")
-    e1, f1, h11, h12, e2, f2, h21, h22 = ops
-    constraints = (e1 - f2, f1 - e2, h11 - h21, h12 - h22)
+    try:
+        (n1, _), (n2, _) = label_factors(rep.label)
+    except ValueError:
+        raise ValueError("matrix-variety stabilizer needs a labeled GL2 x GL2 irreducible") from None
+    # Basis vector (i, k) of the product sits at r = i * d2 + k.  On a factor
+    # of degree n, e sends vector j to j (vector j-1) and f sends it to
+    # (n - j) (vector j+1) (see gl2), so row r of e x 1 - 1 x f holds
+    # -(n2 - k + 1) at (i, k-1) and i + 1 at (i+1, k), and row r of
+    # f x 1 - 1 x e holds n1 - i + 1 at (i-1, k) and -(k + 1) at (i, k+1):
+    # at most two nonzeros, in increasing columns, so no merge is needed.
+    d2 = n2 + 1
+    cells = [(r, *divmod(r, d2)) for r in range((n1 + 1) * d2)]
+    e_f = [[(r - 1, k - d2)] * (k > 0) + [(r + d2, i + 1)] * (i < n1) for r, i, k in cells]
+    f_e = [[(r - d2, n1 - i + 1)] * (i > 0) + [(r + 1, -k - 1)] * (k < n2) for r, i, k in cells]
+    # the torus pairs h11 - h21 and h12 - h22 are diagonal, with the
+    # differences of the two factors' weights as eigenvalues
+    torus = [[[(r, w[a] - w[a + 2])] for r, w in enumerate(rep.weights)] for a in (0, 1)]
+    constraints = tuple(Mat.from_sparse_rows(rows, rep.dim) for rows in (e_f, f_e, *torus))
     return GroupActionData(rep.dim, constraints)
 
 

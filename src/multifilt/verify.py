@@ -12,6 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .characters import character_product, decompose, oracle_multiplicity, weight_multiset
 from .filtration import FilteredSpace, associated_graded, make_filtered
@@ -108,87 +109,68 @@ def _drop(obj: FiltObject, ncons: int, nfilt: int) -> FiltObject:
     )
 
 
-def check_rees_round_trip(count: int = ROUND_TRIP_COUNT, seed: int = DEFAULT_SEED) -> ClaimResult:
+def _filtration_claim(name: str, count: int, seed: int, fault: Callable[[FilteredSpace], str | None], summary: str) -> ClaimResult:
+    """A property of count random filtered spaces; fault describes how one
+    fails it, or returns None."""
     rng = random.Random(seed)
     start = time.perf_counter()
     for k in range(count):
-        fs = random_filtered_space(rng)
-        back = derees(rees_construct(fs))
-        if back != fs:
-            return ClaimResult(
-                "rees round trip",
-                False,
-                f"instance {k}: derees(rees(F)) differs from F (dim {fs.dim})",
-                time.perf_counter() - start,
-            )
-    return ClaimResult(
-        "rees round trip",
-        True,
-        f"{count}/{count} random filtrations recovered exactly",
-        time.perf_counter() - start,
-    )
+        problem = fault(random_filtered_space(rng))
+        if problem is not None:
+            return ClaimResult(name, False, f"instance {k}: {problem}", time.perf_counter() - start)
+    return ClaimResult(name, True, f"{count}/{count} {summary}", time.perf_counter() - start)
+
+
+def check_rees_round_trip(count: int = ROUND_TRIP_COUNT, seed: int = DEFAULT_SEED) -> ClaimResult:
+    def fault(fs: FilteredSpace) -> str | None:
+        return None if derees(rees_construct(fs)) == fs else f"derees(rees(F)) differs from F (dim {fs.dim})"
+
+    return _filtration_claim("rees round trip", count, seed, fault, "random filtrations recovered exactly")
 
 
 def check_graded_comparison(count: int = ROUND_TRIP_COUNT, seed: int = DEFAULT_SEED) -> ClaimResult:
-    rng = random.Random(seed)
+    def fault(fs: FilteredSpace) -> str | None:
+        via_fiber, via_graded = fiber_at_zero(rees_construct(fs)), associated_graded(fs)
+        return None if via_fiber == via_graded else f"fiber {via_fiber.pieces} vs graded {via_graded.pieces}"
+
+    summary = "instances: fiber at zero matches the associated graded"
+    return _filtration_claim("graded fiber comparison", count, seed, fault, summary)
+
+
+def _table_claim(name: str, variety: str, labels: list, indicator: Callable[..., int], rule: str, style: str) -> ClaimResult:
+    """Every cell of a table: the Hom solver, the oracle and the closed-form
+    indicator must agree."""
+    spec = builtin_variety(variety)
     start = time.perf_counter()
-    for k in range(count):
-        fs = random_filtered_space(rng)
-        via_fiber = fiber_at_zero(rees_construct(fs))
-        via_graded = associated_graded(fs)
-        if via_fiber != via_graded:
-            return ClaimResult(
-                "graded fiber comparison",
-                False,
-                f"instance {k}: fiber {via_fiber.pieces} vs graded {via_graded.pieces}",
-                time.perf_counter() - start,
-            )
-    return ClaimResult(
-        "graded fiber comparison",
-        True,
-        f"{count}/{count} instances: fiber at zero matches the associated graded",
-        time.perf_counter() - start,
-    )
+    bad = []
+    for label in labels:
+        hom = multiplicity(rep_from_label(spec.group, label), spec, style)
+        oracle = oracle_multiplicity(spec, label, max_degree=20)
+        expected = indicator(*label)
+        if not (hom == oracle == expected):
+            bad.append(f"{label}: hom={hom} oracle={oracle} expected={expected}")
+    detail = f"{len(labels) - len(bad)}/{len(labels)} cells: hom = oracle = {rule}"
+    if bad:
+        detail += "; first mismatches: " + "; ".join(bad[:4])
+    return ClaimResult(name, not bad, detail, time.perf_counter() - start)
 
 
 def check_binary_forms_table(style: str = H_STYLE_LIE_PLUS_ELEMENTS) -> ClaimResult:
-    spec = builtin_variety(BINARY_QUADRATIC_FORMS)
-    start = time.perf_counter()
-    bad = []
-    total = 0
-    for n in range(0, 9):
-        for m in range(-6, 7):
-            total += 1
-            rep = rep_from_label("GL2", (n, m))
-            hom = multiplicity(rep, spec, style)
-            oracle = oracle_multiplicity(spec, (n, m), max_degree=20)
-            expected = 1 if (n % 2 == 0 and m % 2 == 0 and m >= 0) else 0
-            if not (hom == oracle == expected):
-                bad.append(f"(n={n}, m={m}): hom={hom} oracle={oracle} expected={expected}")
-    detail = f"{total - len(bad)}/{total} cells: hom = oracle = indicator(n even, m even, m >= 0)"
-    if bad:
-        detail += "; first mismatches: " + "; ".join(bad[:4])
-    return ClaimResult("binary quadratic forms table", not bad, detail, time.perf_counter() - start)
+    def indicator(n: int, m: int) -> int:
+        return int(n % 2 == 0 and m % 2 == 0 and m >= 0)
+
+    labels = grid_labels("GL2", range(0, 9), range(-6, 7))
+    rule = "indicator(n even, m even, m >= 0)"
+    return _table_claim("binary quadratic forms table", BINARY_QUADRATIC_FORMS, labels, indicator, rule, style)
 
 
 def check_matrix_table(style: str = H_STYLE_LIE_PLUS_ELEMENTS) -> ClaimResult:
-    spec = builtin_variety(TWO_BY_TWO_MATRICES)
-    start = time.perf_counter()
-    bad = []
-    total = 0
-    for label in grid_labels("GL2xGL2", range(0, 5), range(-2, 4)):
-        total += 1
-        (n, m), (np_, mp) = label  # type: ignore[misc]
-        rep = rep_from_label("GL2xGL2", label)
-        hom = multiplicity(rep, spec, style)
-        oracle = oracle_multiplicity(spec, label, max_degree=20)
-        expected = 1 if (n == np_ and m == mp and m >= 0) else 0
-        if not (hom == oracle == expected):
-            bad.append(f"{label}: hom={hom} oracle={oracle} expected={expected}")
-    detail = f"{total - len(bad)}/{total} cells: hom = oracle = indicator(n = n', m = m', m >= 0)"
-    if bad:
-        detail += "; first mismatches: " + "; ".join(bad[:4])
-    return ClaimResult("2x2 matrices table", not bad, detail, time.perf_counter() - start)
+    def indicator(left: tuple[int, int], right: tuple[int, int]) -> int:
+        return int(left == right and left[1] >= 0)
+
+    labels = grid_labels("GL2xGL2", range(0, 5), range(-2, 4))
+    rule = "indicator(n = n', m = m', m >= 0)"
+    return _table_claim("2x2 matrices table", TWO_BY_TWO_MATRICES, labels, indicator, rule, style)
 
 
 def check_filtration_shapes() -> ClaimResult:

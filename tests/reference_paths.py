@@ -7,9 +7,10 @@ make_filtered, Gauss-Jordan elimination and subspace membership carried out
 step by step in Fraction arithmetic, and symmetric powers of 2x2 matrices
 expanded in Fractions, matrices stored densely with arithmetic on every
 entry, the subspace basis check that tests each pivot column entry by
-entry, and grid labels written as one nested loop per group.  They live
-only here, so that tests can compare the library against them on many
-inputs.
+entry, grid labels written as one nested loop per group, and the
+matrix-variety stabilizer subtracted from the Kronecker-product operators.
+They live only here, so that tests can compare the library against them on
+many inputs.
 """
 
 from __future__ import annotations
@@ -234,3 +235,10 @@ def reference_grid_labels(
     n2 = n_range if n2_range is None else n2_range
     m2 = m_range if m2_range is None else m2_range
     return [((n, m), (np_, mp)) for n in n_range for m in m_range for np_ in n2 for mp in m2]
+
+
+def reference_matrix_variety_stabilizer(rep: RepData) -> tuple[Mat, ...]:
+    """The twisted-diagonal constraints (e1 - f2, f1 - e2, h11 - h21,
+    h12 - h22), subtracted from the eight factor operators of rep."""
+    e1, f1, h11, h12, e2, f2, h21, h22 = rep.action_ops
+    return (e1 - f2, f1 - e2, h11 - h21, h12 - h22)

@@ -50,3 +50,22 @@ def test_criterion_6_clebsch_gordan_conservation():
 
 def test_criterion_7_hom_properties():
     _report(7, check_hom_properties(count=100))
+
+
+def test_failing_claims_report_their_first_failures(monkeypatch):
+    from multifilt import verify
+    from multifilt.filtration import GradedVectorSpace
+
+    monkeypatch.setattr(verify, "multiplicity", lambda rep, spec, style: 7)
+    result = check_binary_forms_table()
+    assert not result.passed
+    assert result.detail.startswith("0/117 cells: hom = oracle = indicator(n even, m even, m >= 0); first mismatches: ")
+    assert "(0, -6): hom=7 oracle=0 expected=0" in result.detail
+    result = check_matrix_table()
+    assert not result.passed and result.detail.startswith("0/900 cells")
+    monkeypatch.setattr(verify, "derees", lambda module: None)
+    result = check_rees_round_trip(count=3)
+    assert not result.passed and result.detail.startswith("instance 0: derees(rees(F)) differs from F (dim ")
+    monkeypatch.setattr(verify, "fiber_at_zero", lambda module: GradedVectorSpace(((99, 1),)))
+    result = check_graded_comparison(count=3)
+    assert not result.passed and result.detail.startswith("instance 0: fiber ((99, 1),) vs graded ")

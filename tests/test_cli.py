@@ -277,3 +277,35 @@ def test_oversized_grid_rejected_before_labels_are_made(capsys):
     # a grid of exactly the bound is accepted (oracle answers it quickly)
     code, out, _ = _run(capsys, ["--format", "tsv", "oracle", "--variety", "TwoByTwoMatrices", "--grid", "n=0..9,m=-4..5"])
     assert code == 0 and len(out.splitlines()) == 1 + MAX_GRID_CELLS
+
+
+def _plain_object(dim):
+    """A dim-dimensional object with no constraints and the trivial filtration."""
+    identity = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
+    return {
+        "rep": {"dim": dim, "weights": [[0, 0]] * dim, "ops": []},
+        "h_action": {"dim": dim, "intertwiner_constraints": []},
+        "filtrations": [{"dim": dim, "steps": [{"index": 0, "basis": identity}]}],
+    }
+
+
+def test_oversized_hom_dim_pair_rejected_before_solving(tmp_path, capsys):
+    import time
+
+    from multifilt.cli import MAX_HOM_VARS
+
+    # a 400 x 400 pair (160000 Hom variables) is refused from its dimensions
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"a": _plain_object(400), "b": _plain_object(400)}))
+    start = time.perf_counter()
+    done = _run_with_memory_cap(["hom-dim", str(path)])
+    assert time.perf_counter() - start < 10
+    assert done.returncode == 2 and done.stdout == ""
+    assert f"400 x 400 = 160000 Hom variables, above the bound {MAX_HOM_VARS}" in done.stderr
+    # one variable over the bound is rejected, a pair of exactly the bound is solved
+    path.write_text(json.dumps({"a": _plain_object(MAX_HOM_VARS + 1), "b": _plain_object(1)}))
+    code, out, err = _run(capsys, ["hom-dim", str(path)])
+    assert code == 2 and out == "" and f"bound {MAX_HOM_VARS}" in err
+    path.write_text(json.dumps({"a": _plain_object(1), "b": _plain_object(MAX_HOM_VARS)}))
+    code, out, _ = _run(capsys, ["hom-dim", str(path)])
+    assert code == 0 and out.strip() == str(MAX_HOM_VARS)

@@ -1,13 +1,15 @@
 """Sparse matrix storage and the subspace basis check against their dense
-references, on randomized inputs."""
+references, and the agreement of the ways a subspace is built, on
+randomized inputs."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from multifilt.gl2 import external_rep
-from multifilt.linalg import AmbientMismatch, Mat, Subspace, kron
+from multifilt.gl2 import RepData, external_rep
+from multifilt.linalg import AmbientMismatch, Mat, Subspace, kernel, kron
+from multifilt.varieties import cocharacter_filtration
 from reference_paths import DenseMat, dense_kron, reference_check_subspace_basis
 
 
@@ -174,3 +176,78 @@ def test_matrix_operators_store_at_most_three_nonzeros_per_row():
     for op in rep.action_ops:
         assert sum(len(row) for row in op.sparse_rows) <= 3 * rep.dim
         assert all(x for row in op.sparse_rows for _, x in row)
+
+
+def _assert_same_subspace(subspaces):
+    """Equal subspaces, however built: ==, equal hashes, and identical
+    stored rows and dense basis views, every value a Fraction."""
+    first = subspaces[0]
+    for s in subspaces:
+        assert s == first and hash(s) == hash(first)
+        assert s.sparse_rows == first.sparse_rows and s.basis == first.basis
+        assert all(type(x) is Fraction for row in s.basis for x in row)
+        assert all(len(row) == s.ambient_dim for row in s.basis)
+
+
+def _mixed(rng: random.Random, rows: list) -> list:
+    """A shuffled spanning set of the same row space: each row plus random
+    multiples of the rows after it, some rows repeated or scaled."""
+    out = []
+    for i, row in enumerate(rows):
+        combo = list(row)
+        for later in rows[i + 1 :]:
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            combo = [x + c * y for x, y in zip(combo, later)]
+        out.append(combo)
+        if rng.random() < 0.3:
+            out.append([Fraction(-2) * x for x in combo])
+    rng.shuffle(out)
+    return out
+
+
+def test_dense_constructor_span_and_coordinate_flag_agree():
+    rng = random.Random(12)
+    for _ in range(300):
+        dim = rng.randint(0, 8)
+        rank_ = rng.randint(1, 3)
+        weights = tuple(tuple(rng.randint(-2, 2) for _ in range(rank_)) for _ in range(dim))
+        mu = tuple(rng.randint(-2, 2) for _ in range(rank_))
+        for _, step in cocharacter_filtration(RepData(dim, weights, ()), mu).steps:
+            units = [[int(j == row[0][0]) for j in range(dim)] for row in step.sparse_rows]
+            _assert_same_subspace(
+                [
+                    step,
+                    Subspace(dim, units),
+                    Subspace(dim, tuple(map(tuple, units))),
+                    Subspace.span(dim, _mixed(rng, units)),
+                    Subspace.from_sparse_rows(dim, step.sparse_rows),
+                ]
+            )
+    for dim in range(0, 6):
+        identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        _assert_same_subspace(
+            [Subspace.zero(dim), Subspace(dim, ()), Subspace.span(dim, []), Subspace.span(dim, [[0] * dim] * 2), kernel(Mat.identity(dim))]
+        )
+        full = [Subspace.full(dim), Subspace(dim, identity), Subspace.span(dim, _mixed(rng, identity)), kernel(Mat.zero(1, dim))]
+        if dim:
+            full.append(cocharacter_filtration(RepData(dim, ((0,),) * dim, ()), (1,)).steps[0][1])
+        _assert_same_subspace(full)
+
+
+def test_sparse_constructor_rejects_rows_out_of_echelon_form():
+    half = Fraction(1, 2)
+    one = Fraction(1)
+    with pytest.raises(ValueError, match="zero row"):
+        Subspace.from_sparse_rows(2, [((0, one),), ()])
+    bad = [
+        [((0, Fraction(2)),)],  # leading entry not 1
+        [((1, one),), ((0, one),)],  # pivots out of order
+        [((0, one), (1, half)), ((1, one),)],  # nonzero in another row's pivot column
+        [((0, one), (2, half))],  # column beyond the ambient dimension
+        [((0, one), (1, half), (1, half))],  # repeated column
+        [((0, one), (1, Fraction(0)))],  # stored zero
+        [((0, 1),)],  # value not a Fraction
+    ]
+    for rows in bad:
+        with pytest.raises(ValueError, match="reduced row echelon form"):
+            Subspace.from_sparse_rows(2, rows)

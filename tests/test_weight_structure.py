@@ -8,7 +8,7 @@ import pytest
 from multifilt import homspaces
 from multifilt.characters import label_weight_sum
 from multifilt.cli import _parse_label
-from multifilt.gl2 import GroupActionData, RepData, label_dim, rep_from_label, weights_of_label
+from multifilt.gl2 import H_STYLES, GroupActionData, RepData, external_rep, label_dim, rep_from_label, weights_of_label
 from multifilt.homspaces import FiltObject, grid_labels, hom_basis, hom_dim
 from multifilt.linalg import Mat
 from multifilt.varieties import (
@@ -19,7 +19,13 @@ from multifilt.varieties import (
     label_key,
 )
 from multifilt.verify import random_filt_object_pair, random_filtered_space
-from reference_paths import reference_cocharacter_filtration, reference_grid_labels, reference_hom_basis, reference_hom_dim
+from reference_paths import (
+    reference_cocharacter_filtration,
+    reference_grid_labels,
+    reference_hom_basis,
+    reference_hom_dim,
+    reference_matrix_variety_stabilizer,
+)
 
 
 def _diag(*entries):
@@ -160,3 +166,31 @@ def test_label_reader_agrees_with_built_representations():
 def test_grid_labels_match_nested_loops(ranges):
     for group in ("GL2", "GL2xGL2"):
         assert grid_labels(group, *ranges) == reference_grid_labels(group, *ranges)
+
+
+def _matrix_stabilizer_labels():
+    yield from grid_labels("GL2xGL2", range(0, 5), range(-2, 4))
+    yield from (((n, 1), (n, 1)) for n in range(0, 13))
+    # factors of different degrees and twists, in both orders
+    yield from (((3, -1), (7, 2)), ((7, 2), (3, -1)), ((0, 4), (5, 0)), ((9, 1), (0, -3)), ((1, 0), (12, 5)))
+
+
+def test_matrix_stabilizer_matches_kron_and_subtract():
+    spec = builtin_variety(TWO_BY_TWO_MATRICES)
+    for label in [*_matrix_stabilizer_labels(), ((0, 0), (0, 0))]:
+        rep = rep_from_label("GL2xGL2", label)
+        expected = reference_matrix_variety_stabilizer(rep)
+        for style in H_STYLES:
+            assert spec.stabilizer_action(rep, style).intertwiner_constraints == expected, label
+    triv = spec.trivial_rep()
+    assert spec.stabilizer_action(triv).intertwiner_constraints == reference_matrix_variety_stabilizer(triv)
+
+
+def test_matrix_stabilizer_needs_a_product_label():
+    spec = builtin_variety(TWO_BY_TWO_MATRICES)
+    labeled = external_rep((1, 0), (2, 1))
+    for label in (None, "trivial", (1, 0), ((1, 0),)):
+        # the same eight operators, without a GL2 x GL2 label to read
+        unlabeled = RepData(labeled.dim, labeled.weights, labeled.action_ops, label=label)
+        with pytest.raises(ValueError, match="labeled GL2 x GL2 irreducible"):
+            spec.stabilizer_action(unlabeled)
