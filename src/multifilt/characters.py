@@ -2,14 +2,14 @@
 
 This is the independent verification route.  It never touches filtrations
 or Hom solving: coordinate rings are decomposed degree by degree from raw
-weight multisets, by convolving generating functions for symmetric powers
-and greedily subtracting highest weights.
+weight multisets, by building the symmetric powers' degree layers with the
+one-term recurrence of the multiset generating function and greedily
+subtracting highest weights.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 from typing import Iterable, Mapping, TYPE_CHECKING
 
 from .gl2 import GROUP_FACTORS, Weight, label_factors, label_from_factors, weights_of_label
@@ -49,13 +49,18 @@ def character_product(a: Mapping[Weight, int], b: Mapping[Weight, int]) -> Weigh
 def sym_power_weights(w: Mapping[Weight, int], d: int) -> WeightMultiset:
     """Character of the d-th symmetric power of a module with character w.
 
-    Computed by convolving one generating function per distinct weight:
-    a weight of multiplicity c contributes binom(a + c - 1, a) copies of
-    a times the weight in degree a.
+    The symmetric algebra's character is the product, over every copy of
+    every weight chi, of 1 / (1 - t x^chi) = sum_k t^k x^(k chi): the
+    generating function of multisets (Stanley, Enumerative Combinatorics I,
+    section 1.2).  Multiplying the degree layers 0..d by one such factor is
+    the one-term recurrence layer[k] += x^chi layer[k - 1], run for k in
+    increasing order so that layer k - 1 already carries the factor.
     """
     if d < 0:
         raise ValueError("symmetric-power degree must be nonnegative")
     items = sorted(w.items())
+    if any(c < 1 for _, c in items):
+        raise ValueError("weight multiplicities must be at least 1")
     if not items:
         if d == 0:
             return {(): 1}
@@ -63,15 +68,12 @@ def sym_power_weights(w: Mapping[Weight, int], d: int) -> WeightMultiset:
     zero = (0,) * len(items[0][0])
     layers: list[WeightMultiset] = [{zero: 1}] + [{} for _ in range(d)]
     for chi, c in items:
-        nxt: list[WeightMultiset] = [{} for _ in range(d + 1)]
-        for k in range(d + 1):
-            for a in range(k + 1):
-                count = comb(a + c - 1, a)
-                shift = tuple(a * x for x in chi)
-                for wt, mult in layers[k - a].items():
-                    key = tuple(x + y for x, y in zip(wt, shift))
-                    nxt[k][key] = nxt[k].get(key, 0) + mult * count
-        layers = nxt
+        for _ in range(c):
+            for k in range(1, d + 1):
+                layer = layers[k]
+                for wt, mult in layers[k - 1].items():
+                    key = tuple(x + y for x, y in zip(wt, chi))
+                    layer[key] = layer.get(key, 0) + mult
     return layers[d]
 
 

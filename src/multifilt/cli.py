@@ -56,22 +56,24 @@ VARIETY_NAMES = (BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES)
 # checked before any operator is built.  169 is the largest benchmarked cell,
 # ((12,1),(12,1)).  Measured at this bound on one core of a 2-vCPU Intel Xeon
 # under Python 3.11: that cell's multiplicity takes 0.10 s, the slowest label
-# shape, forms (168,0) whose reflection carries binomial coefficients, takes
-# about 1.1 s, and its filtration output is 12 MB (212 MB peak RSS, nearly
-# all of it the JSON rendering of every step's dense basis).  A flag stores
-# one entry per basis vector of each step, so with the bound lifted the
-# label 200,0;200,0 (dimension 40401, a 201-step flag of 4.1 million rows)
-# gets its multiplicity in 3.3 s at 179 MB peak RSS; but its filtration
-# output would print every step's dense basis, about 10^14 entries.
+# shape, forms (168,0) whose reflection is a triangle of 14365 binomial
+# coefficients, takes about 0.5 s, and its filtration output is 12 MB
+# (212 MB peak RSS, nearly all of it the JSON rendering of every step's
+# dense basis).  A flag stores one entry per basis vector of each step, so
+# with the bound lifted the label 200,0;200,0 (dimension 40401, a 201-step
+# flag of 4.1 million rows) gets its multiplicity in 3.3 s at 179 MB peak
+# RSS; but its filtration output would print every step's dense basis,
+# about 10^14 entries.
 MAX_REP_DIM = 169
 
 # Largest coordinate-ring degree that oracle decomposes, checked before any
 # character work.  The degree is the one a label's weight sum determines, or
 # the --max-degree value when the weight sums do not determine it.  Measured
 # on the same host: the slowest built-in, 2x2 matrices ((d,0),(d,0)), takes
-# 0.45 s at degree 40, 3.5 s (48 MB peak RSS) at 80 and 8.9 s (76 MB) at 100,
-# growing faster than d^3; binary forms (2d,0) take 2.4 s at degree 200 and
-# 16 s at 400.
+# 0.06 s at degree 40, 0.5 s (37 MB peak RSS) at 80, 0.7 s (55 MB) at 100
+# and 2.2 s (122 MB) at 140, memory growing about as d^3; binary forms (2d,0)
+# take 0.1 s at degree 200 and 0.3 s at 400.  A grid computes each of its
+# degrees once: the 6561 cells of n=0..80,m=0..0 take 7 s.
 MAX_ORACLE_DEGREE = 80
 
 # Largest number of cells a multiplicity or oracle grid may have, checked
@@ -82,7 +84,8 @@ MAX_ORACLE_DEGREE = 80
 MAX_GRID_CELLS = 10_000
 
 # Largest number of Hom variables, a.dim x b.dim, that hom-dim accepts,
-# checked once the pair is read and before any system is built.  It equals
+# checked once the pair is read and checked, before any labeled
+# representation or system is built.  It equals
 # the largest built-in Hom system, a dimension-169 cell against the trivial
 # object.  Measured on the same host with random dense integer constraints
 # and a two-step flag on each side: a 13x13 pair takes 0.64 s with one
@@ -254,14 +257,11 @@ def _cmd_hom_dim(args: argparse.Namespace) -> int:
     payload = _read_json(args.input)
     if not isinstance(payload, dict) or "a" not in payload or "b" not in payload:
         raise CliError("hom-dim expects a JSON object with fields 'a' and 'b'")
-    a = serialize.filt_object_from_json(payload["a"], "$.a")
-    b = serialize.filt_object_from_json(payload["b"], "$.b")
-    if a.rep.dim * b.rep.dim > MAX_HOM_VARS:
-        raise CliError(f"pair needs {a.rep.dim} x {b.rep.dim} = {a.rep.dim * b.rep.dim} Hom variables, above the bound {MAX_HOM_VARS}")
-    try:
-        print(hom_dim(a, b))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    # both objects are read and checked before either is built
+    (da, build_a), (db, build_b) = (serialize.filt_object_reader(payload[k], f"$.{k}") for k in "ab")
+    if da * db > MAX_HOM_VARS:
+        raise CliError(f"pair needs {da} x {db} = {da * db} Hom variables, above the bound {MAX_HOM_VARS}")
+    print(hom_dim(build_a(), build_b()))
     return 0
 
 
@@ -367,13 +367,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except serialize.InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
+        # serialize.InputError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,15 +25,16 @@ The determinant twist shifts h1 and h2 by m but leaves e and f alone.
 The public sym_power_matrix follows the classical substitution layout (row i
 lists the expansion of the image of the i-th monomial) because that is the
 shape in which such matrices are usually tabulated; it is multiplicative as
-written.  Column-convention operators used internally are its transpose
-applied to the transposed argument.
+written.  Nothing in the library builds operators from it: the stabilizer
+constraints of both built-in examples are written directly from their
+labels, in closed form, as column-convention sparse rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 from typing import Sequence
 
 from .linalg import Mat, kron
@@ -50,18 +51,6 @@ _NEGATIVE_DEGREE = "the symmetric-power degree n must be nonnegative"
 H_STYLE_LIE_ONLY = "lie_only"
 H_STYLE_LIE_PLUS_ELEMENTS = "lie_plus_elements"
 H_STYLES = (H_STYLE_LIE_ONLY, H_STYLE_LIE_PLUS_ELEMENTS)
-
-# Stabilizer data for the binary-quadratic-forms example, in the monomial
-# basis of the ambient GL2.  The connected stabilizer of the base quadratic
-# form is the torus t -> [[t, 1/t - t], [0, 1/t]]; conjugating by the
-# unipotent DIAGONALIZER below turns it into diag(t, 1/t).  The full
-# stabilizer of a nondegenerate binary form has a second component; the
-# REFLECTION below generates it (determinant -1, squares to the identity)
-# and diagonalizes to the basis swap.
-BINARY_FORMS_TORUS_GENERATOR = Mat.from_rows([[1, -2], [0, -1]])
-BINARY_FORMS_REFLECTION = Mat.from_rows([[1, 0], [1, -1]])
-BINARY_FORMS_DIAGONALIZER = Mat.from_rows([[1, 1], [0, 1]])
-
 
 @dataclass(frozen=True)
 class RepData:
@@ -135,11 +124,7 @@ def sym_power_matrix(g: Mat, n: int) -> Mat:
         raise ValueError(_NEGATIVE_DEGREE)
     if g.rows != 2 or g.cols != 2:
         raise ValueError("sym_power_matrix expects a 2x2 matrix")
-    entries = (g.at(0, 0), g.at(0, 1), g.at(1, 0), g.at(1, 1))
-    if all(x.denominator == 1 for x in entries):
-        # integral g: expand in ints; from_rows coerces to Fractions once
-        entries = tuple(x.numerator for x in entries)
-    a, b, c, d = entries
+    a, b, c, d = g.at(0, 0), g.at(0, 1), g.at(1, 0), g.at(1, 1)
     rows = []
     for i in range(n + 1):
         poly = [1]  # coefficients on x^(deg-j) y^j
@@ -151,26 +136,13 @@ def sym_power_matrix(g: Mat, n: int) -> Mat:
     return Mat.from_rows(rows, n + 1)
 
 
-def _mul_linear(poly: list, u: int | Fraction, v: int | Fraction) -> list:
+def _mul_linear(poly: list, u: Fraction, v: Fraction) -> list:
     # multiply a binary form, coefficients on x^(deg-j) y^j, by (u x + v y)
     out = [0] * (len(poly) + 1)
     for j, coeff in enumerate(poly):
         out[j] += u * coeff
         out[j + 1] += v * coeff
     return out
-
-
-def sym_operator(g: Mat, n: int) -> Mat:
-    """Column-convention operator of g on the degree-n monomial basis."""
-    return sym_power_matrix(g.transpose(), n).transpose()
-
-
-def irrep_element(g: Mat, n: int, m: int) -> Mat:
-    """Column-convention matrix of a group element on the representation (n, m)."""
-    det = g.at(0, 0) * g.at(1, 1) - g.at(0, 1) * g.at(1, 0)
-    if det == 0:
-        raise ValueError("group element must be invertible")
-    return sym_operator(g, n).scale(det**m)
 
 
 def dual(n: int, m: int) -> Gl2Label:
@@ -213,19 +185,32 @@ def restrict_to_diagonal(w: RepData) -> RepData:
 def stabilizer_action_binary_forms(n: int, m: int, style: str = H_STYLE_LIE_PLUS_ELEMENTS) -> GroupActionData:
     """Equivariance constraints for the binary-forms stabilizer on (n, m).
 
-    lie_only uses the generator of the connected stabilizer torus; the
-    m-twist drops out because the torus has determinant 1.  The default
-    style also adds the determinant -1 reflection of the full stabilizer,
-    whose action on (n, m) carries the factor (-1)^m; the element at
-    parameter t = -1 of the torus is minus the identity, which lies in the
-    connected component and adds no constraint beyond the generator.
+    The connected stabilizer of the base quadratic form is the torus
+    t -> [[t, 1/t - t], [0, 1/t]], generated by X = [[1, -2], [0, -1]];
+    lie_only uses X alone, and the m-twist drops out because tr X = 0.  The
+    default style also adds the reflection g = [[1, 0], [1, -1]]
+    (determinant -1, g^2 = 1) generating the stabilizer's second component,
+    whose action on (n, m) carries the factor det(g)^m = (-1)^m; the torus
+    element at t = -1 is minus the identity, which lies in the connected
+    component and adds no constraint beyond the generator.
     """
     if style not in H_STYLES:
         raise ValueError(f"unknown constraint style {style!r}")
-    torus = _lie_op(BINARY_FORMS_TORUS_GENERATOR, n, m)
+    if n < 0:
+        raise ValueError(_NEGATIVE_DEGREE)
+    # X acts as _lie_op does with a, b, c, d = 1, -2, 0, -1: row i holds
+    # (n - i) a + i d = n - 2i on the diagonal and (i + 1) b = -2(i + 1) in
+    # column i + 1 (a zero diagonal entry is dropped by from_sparse_rows).
+    torus = Mat.from_sparse_rows([[(i, n - 2 * i)] + [(i + 1, -2 * (i + 1))] * (i < n) for i in range(n + 1)], n + 1)
     if style == H_STYLE_LIE_ONLY:
         return GroupActionData(n + 1, (torus,))
-    reflection = irrep_element(BINARY_FORMS_REFLECTION, n, m)
+    # g sends basis vector x^(n-c) y^c, in column c, to the expansion of
+    # (x + y)^(n-c) (-y)^c, whose coefficient on x^(n-r) y^r is
+    # (-1)^c binom(n - c, r - c) for r >= c; with det(g)^m this is the
+    # lower-triangular entry (r, c), all of whose binomials are nonzero.
+    reflection = Mat.from_sparse_rows(
+        [[(c, (-1) ** ((m + c) % 2) * comb(n - c, r - c)) for c in range(r + 1)] for r in range(n + 1)], n + 1
+    )
     return GroupActionData(n + 1, (torus, reflection))
 
 
@@ -257,13 +242,20 @@ def _checked_factors(factors: object, label: object) -> tuple[Gl2Label, ...]:
     return tuple(map(tuple, factors))
 
 
-def rep_from_label(group: str, label: object) -> RepData:
-    """Build the representation for a GL2 or GL2 x GL2 label."""
+def group_label_factors(group: str, label: object) -> tuple[Gl2Label, ...]:
+    """The (n, m) factors of a label, after checking that it names an
+    irreducible of the group (GL2 or GL2 x GL2); builds nothing."""
     if group not in GROUP_FACTORS:
         raise ValueError(f"no labeled representations for group {group!r}")
     factors = label_factors(label)
     if len(factors) != GROUP_FACTORS[group]:
         raise ValueError(f"label {label!r} does not fit group {group}")
+    return factors
+
+
+def rep_from_label(group: str, label: object) -> RepData:
+    """Build the representation for a GL2 or GL2 x GL2 label."""
+    factors = group_label_factors(group, label)
     return irrep_gl2(*factors[0]) if len(factors) == 1 else external_rep(*factors)
 
 

@@ -42,11 +42,17 @@ class FiltObject:
     filtrations: tuple[FilteredSpace, ...]
 
     def __post_init__(self) -> None:
-        if self.h_action.dim != self.rep.dim:
-            raise ValueError("constraint dimension does not match the representation")
-        for f in self.filtrations:
-            if f.dim != self.rep.dim:
-                raise ValueError("filtration dimension does not match the representation")
+        check_object_dims(self.rep.dim, self.h_action, self.filtrations)
+
+
+def check_object_dims(dim: int, h_action: GroupActionData, filtrations: Sequence[FilteredSpace]) -> None:
+    """Raise ValueError unless the constraints and filtrations of an object
+    live on its representation's dimension dim."""
+    if h_action.dim != dim:
+        raise ValueError("constraint dimension does not match the representation")
+    for f in filtrations:
+        if f.dim != dim:
+            raise ValueError("filtration dimension does not match the representation")
 
 
 def _check_shapes(a: FiltObject, b: FiltObject) -> None:

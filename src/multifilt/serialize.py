@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .filtration import FilteredSpace, GradedVectorSpace, make_filtered
-from .gl2 import GROUP_FACTORS, GroupActionData, RepData, rep_from_label
-from .homspaces import FiltObject
+from .gl2 import GROUP_FACTORS, GroupActionData, RepData, group_label_factors, label_dim, rep_from_label
+from .homspaces import FiltObject, check_object_dims
 from .linalg import Mat, Subspace
 from .rees import GradedFreeModule
 from .varieties import VarietySpec, custom_variety
@@ -127,17 +127,25 @@ def graded_space_to_json(g: GradedVectorSpace) -> dict:
 
 
 def rep_from_json(value: Any, path: str = "$") -> RepData:
+    return _rep_reader(value, path)[1]()
+
+
+def _rep_reader(value: Any, path: str) -> tuple[int, Callable[[], RepData]]:
+    """The dimension of a representation payload and a function that builds
+    the representation, after every check: a labeled representation is
+    built only when that function runs."""
     obj = _expect_object(value, path)
     if "group" in obj:
-        group = obj["group"]
+        group, label = obj["group"], obj.get("label")
         # list membership compares by equality, so an unhashable JSON value is
         # reported rather than raising TypeError
         if group not in list(GROUP_FACTORS):
             raise InputError(f"{path}.group", f"unknown group {group!r}")
         try:
-            return rep_from_label(group, obj.get("label"))
+            group_label_factors(group, label)
         except ValueError as exc:
             raise InputError(f"{path}.label", str(exc)) from None
+        return label_dim(label), lambda: rep_from_label(group, label)
     dim = _expect_int(obj.get("dim"), f"{path}.dim")
     weights = tuple(
         tuple(_expect_int(c, f"{path}.weights[{i}]") for c in _expect_list(w, f"{path}.weights[{i}]"))
@@ -145,9 +153,10 @@ def rep_from_json(value: Any, path: str = "$") -> RepData:
     )
     ops = tuple(matrix_from_json(op, f"{path}.ops[{i}]") for i, op in enumerate(_expect_list(obj.get("ops", []), f"{path}.ops")))
     try:
-        return RepData(dim, weights, ops)
+        rep = RepData(dim, weights, ops)
     except ValueError as exc:
         raise InputError(path, str(exc)) from None
+    return dim, lambda: rep
 
 
 def group_action_from_json(value: Any, path: str = "$") -> GroupActionData:
@@ -164,17 +173,27 @@ def group_action_from_json(value: Any, path: str = "$") -> GroupActionData:
 
 
 def filt_object_from_json(value: Any, path: str = "$") -> FiltObject:
+    return filt_object_reader(value, path)[1]()
+
+
+def filt_object_reader(value: Any, path: str = "$") -> tuple[int, Callable[[], FiltObject]]:
+    """The dimension of an object payload and a function that builds the
+    object.  Every fault of the payload is raised here, but a labeled
+    representation is built only when that function runs, so a caller can
+    bound the dimension first: a label costs a few bytes of JSON and its
+    representation can be arbitrarily large."""
     obj = _expect_object(value, path)
-    rep = rep_from_json(obj.get("rep"), f"{path}.rep")
+    dim, build_rep = _rep_reader(obj.get("rep"), f"{path}.rep")
     action = group_action_from_json(obj.get("h_action"), f"{path}.h_action")
     filts = tuple(
         filtered_space_from_json(f, f"{path}.filtrations[{i}]")
         for i, f in enumerate(_expect_list(obj.get("filtrations", []), f"{path}.filtrations"))
     )
     try:
-        return FiltObject(rep, action, filts)
+        check_object_dims(dim, action, filts)
     except ValueError as exc:
         raise InputError(path, str(exc)) from None
+    return dim, lambda: FiltObject(build_rep(), action, filts)
 
 
 def custom_variety_from_json(value: Any, path: str = "$") -> VarietySpec:

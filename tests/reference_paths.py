@@ -7,8 +7,11 @@ make_filtered, Gauss-Jordan elimination and subspace membership carried out
 step by step in Fraction arithmetic, and symmetric powers of 2x2 matrices
 expanded in Fractions, matrices stored densely with arithmetic on every
 entry, the subspace basis check that tests each pivot column entry by
-entry, grid labels written as one nested loop per group, and the
-matrix-variety stabilizer subtracted from the Kronecker-product operators.
+entry, grid labels written as one nested loop per group, the matrix-variety
+stabilizer subtracted from the Kronecker-product operators, the
+binary-forms stabilizer built from the representation's operators and a
+symmetric power of its reflection, and symmetric-power characters by
+convolving binomial generating functions.
 They live only here, so that tests can compare the library against them on
 many inputs.
 """
@@ -17,10 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import lru_cache
+from math import comb
+from typing import Iterable, Mapping, Sequence
 
+from multifilt.characters import WeightMultiset
 from multifilt.filtration import FilteredSpace, make_filtered
-from multifilt.gl2 import RepData
+from multifilt.gl2 import RepData, Weight, irrep_gl2
 from multifilt.homspaces import FiltObject
 from multifilt.linalg import AmbientMismatch, Mat, Subspace, kernel, rank, vector
 from multifilt.varieties import Cocharacter, pairing
@@ -242,3 +248,49 @@ def reference_matrix_variety_stabilizer(rep: RepData) -> tuple[Mat, ...]:
     h12 - h22), subtracted from the eight factor operators of rep."""
     e1, f1, h11, h12, e2, f2, h21, h22 = rep.action_ops
     return (e1 - f2, f1 - e2, h11 - h21, h12 - h22)
+
+
+def reference_binary_forms_stabilizer(n: int, m: int) -> tuple[Mat, Mat]:
+    """The forms stabilizer's torus and reflection constraints from
+    operators: the torus generator [[1, -2], [0, -1]] as h1 - h2 - 2e of
+    irrep_gl2(n, m), and the reflection g = [[1, 0], [1, -1]] in column
+    convention, the transpose of the symmetric power of g^T, times
+    det(g)^m = (-1)^m."""
+    e, _, h1, h2 = irrep_gl2(n, m).action_ops
+    return h1 - h2 - e.scale(2), _reference_forms_reflection(n).scale(Fraction(-1) ** m)
+
+
+@lru_cache(maxsize=None)
+def _reference_forms_reflection(n: int) -> Mat:
+    # the twist-free part, shared by every m (the Fraction expansion is slow)
+    g = Mat.from_rows([[1, 0], [1, -1]])
+    return reference_sym_power_matrix(g.transpose(), n).transpose()
+
+
+def reference_sym_power_weights(w: Mapping[Weight, int], d: int) -> WeightMultiset:
+    """Character of the d-th symmetric power of a module with character w.
+
+    Computed by convolving one generating function per distinct weight:
+    a weight of multiplicity c contributes binom(a + c - 1, a) copies of
+    a times the weight in degree a.
+    """
+    if d < 0:
+        raise ValueError("symmetric-power degree must be nonnegative")
+    items = sorted(w.items())
+    if not items:
+        if d == 0:
+            return {(): 1}
+        return {}
+    zero = (0,) * len(items[0][0])
+    layers: list[WeightMultiset] = [{zero: 1}] + [{} for _ in range(d)]
+    for chi, c in items:
+        nxt: list[WeightMultiset] = [{} for _ in range(d + 1)]
+        for k in range(d + 1):
+            for a in range(k + 1):
+                count = comb(a + c - 1, a)
+                shift = tuple(a * x for x in chi)
+                for wt, mult in layers[k - a].items():
+                    key = tuple(x + y for x, y in zip(wt, shift))
+                    nxt[k][key] = nxt[k].get(key, 0) + mult * count
+        layers = nxt
+    return layers[d]

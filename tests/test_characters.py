@@ -15,6 +15,7 @@ from multifilt.characters import (
 )
 from multifilt.gl2 import weights_of_label
 from multifilt.varieties import BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES, builtin_variety
+from reference_paths import reference_sym_power_weights
 
 
 def test_sym_power_degree_zero():
@@ -35,6 +36,29 @@ def test_sym_power_count_stars_and_bars():
         w = weight_multiset([(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(dim)])
         total = sum(sym_power_weights(w, d).values())
         assert total == comb(dim + d - 1, d)
+
+
+def test_sym_power_rejects_multiplicities_below_one():
+    for count in (0, -1):
+        for d in (0, 3):
+            with pytest.raises(ValueError, match="multiplicities must be at least 1"):
+                sym_power_weights({(1, 0): 2, (0, 1): count}, d)
+
+
+@pytest.mark.parametrize("name", [BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES])
+def test_sym_power_recurrence_matches_convolution_on_builtins(name):
+    dual = weight_multiset(tuple(-c for c in w) for w in builtin_variety(name).x_module_weights)
+    for d in range(41):
+        assert sym_power_weights(dual, d) == reference_sym_power_weights(dual, d), d
+
+
+def test_sym_power_recurrence_matches_convolution_on_random_multisets():
+    rng = random.Random(53)
+    for _ in range(200):
+        rank = rng.choice((2, 4))
+        w = {tuple(rng.randint(-2, 2) for _ in range(rank)): rng.randint(1, 3) for _ in range(rng.randint(1, 3))}
+        d = rng.randint(0, 40)
+        assert sym_power_weights(w, d) == reference_sym_power_weights(w, d), (w, d)
 
 
 def test_decompose_irreducible():

@@ -309,3 +309,26 @@ def test_oversized_hom_dim_pair_rejected_before_solving(tmp_path, capsys):
     path.write_text(json.dumps({"a": _plain_object(1), "b": _plain_object(MAX_HOM_VARS)}))
     code, out, _ = _run(capsys, ["hom-dim", str(path)])
     assert code == 0 and out.strip() == str(MAX_HOM_VARS)
+
+
+def test_hom_dim_bounds_a_labeled_rep_before_building_it(tmp_path):
+    import time
+
+    from multifilt.cli import MAX_HOM_VARS
+
+    small = {"rep": {"group": "GL2", "label": [0, 0]}, "h_action": {"dim": 1, "intertwiner_constraints": []}, "filtrations": []}
+    path = tmp_path / "huge.json"
+    # a label of dimension 2000001 against a one-dimensional constraint set,
+    # then against constraints of the label's own dimension
+    cases = (
+        (1, "$.a: constraint dimension does not match the representation"),
+        (2000001, f"2000001 x 1 = 2000001 Hom variables, above the bound {MAX_HOM_VARS}"),
+    )
+    for h_dim, message in cases:
+        huge = {"rep": {"group": "GL2", "label": [2000000, 0]}, "h_action": {"dim": h_dim, "intertwiner_constraints": []}, "filtrations": []}
+        path.write_text(json.dumps({"a": huge, "b": small}))
+        start = time.perf_counter()
+        done = _run_with_memory_cap(["hom-dim", str(path)])
+        assert time.perf_counter() - start < 5
+        assert done.returncode == 2 and done.stdout == ""
+        assert message in done.stderr

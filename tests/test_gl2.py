@@ -5,6 +5,7 @@ import pytest
 
 from multifilt.gl2 import (
     H_STYLE_LIE_ONLY,
+    H_STYLES,
     clebsch_gordan,
     dual,
     external_rep,
@@ -181,3 +182,10 @@ def test_stabilizer_binary_forms():
     assert _fixed_space_dim(stabilizer_action_binary_forms(2, 1)) == 0
     assert _fixed_space_dim(stabilizer_action_binary_forms(2, 1, H_STYLE_LIE_ONLY)) == 1
     assert _fixed_space_dim(stabilizer_action_binary_forms(4, 2)) == 1
+
+
+def test_stabilizer_binary_forms_rejects_negative_degree():
+    for style in H_STYLES:
+        for n in (-1, -2, -7):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                stabilizer_action_binary_forms(n, 0, style)

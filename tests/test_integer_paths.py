@@ -1,5 +1,6 @@
-"""The integer elimination and integer symmetric powers against their
-Fraction references, on randomized inputs."""
+"""The integer elimination and the symmetric powers of integral and
+rational 2x2 matrices against their Fraction references, on randomized
+inputs."""
 
 import random
 from fractions import Fraction

@@ -8,7 +8,17 @@ import pytest
 from multifilt import homspaces
 from multifilt.characters import label_weight_sum
 from multifilt.cli import _parse_label
-from multifilt.gl2 import H_STYLES, GroupActionData, RepData, external_rep, label_dim, rep_from_label, weights_of_label
+from multifilt.gl2 import (
+    H_STYLE_LIE_ONLY,
+    H_STYLES,
+    GroupActionData,
+    RepData,
+    external_rep,
+    label_dim,
+    rep_from_label,
+    stabilizer_action_binary_forms,
+    weights_of_label,
+)
 from multifilt.homspaces import FiltObject, grid_labels, hom_basis, hom_dim
 from multifilt.linalg import Mat
 from multifilt.varieties import (
@@ -20,6 +30,7 @@ from multifilt.varieties import (
 )
 from multifilt.verify import random_filt_object_pair, random_filtered_space
 from reference_paths import (
+    reference_binary_forms_stabilizer,
     reference_cocharacter_filtration,
     reference_grid_labels,
     reference_hom_basis,
@@ -194,3 +205,15 @@ def test_matrix_stabilizer_needs_a_product_label():
         unlabeled = RepData(labeled.dim, labeled.weights, labeled.action_ops, label=label)
         with pytest.raises(ValueError, match="labeled GL2 x GL2 irreducible"):
             spec.stabilizer_action(unlabeled)
+
+
+def test_forms_stabilizer_matches_operator_reference():
+    spec = builtin_variety(BINARY_QUADRATIC_FORMS)
+    for n in range(41):
+        for m in range(-6, 7):
+            torus, reflection = reference_binary_forms_stabilizer(n, m)
+            assert stabilizer_action_binary_forms(n, m, H_STYLE_LIE_ONLY).intertwiner_constraints == (torus,), (n, m)
+            assert stabilizer_action_binary_forms(n, m).intertwiner_constraints == (torus, reflection), (n, m)
+    # the variety reads the same constraints off the label
+    rep = rep_from_label("GL2", (6, -3))
+    assert spec.stabilizer_action(rep).intertwiner_constraints == reference_binary_forms_stabilizer(6, -3)
