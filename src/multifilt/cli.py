@@ -261,6 +261,11 @@ def _cmd_hom_dim(args: argparse.Namespace) -> int:
     (da, build_a), (db, build_b) = (serialize.filt_object_reader(payload[k], f"$.{k}") for k in "ab")
     if da * db > MAX_HOM_VARS:
         raise CliError(f"pair needs {da} x {db} = {da * db} Hom variables, above the bound {MAX_HOM_VARS}")
+    # against a 0-dimensional side the product is 0, so a labeled
+    # representation, which would be built from a few bytes, is bounded alone
+    for k, dim in zip("ab", (da, db)):
+        if dim > MAX_HOM_VARS and "group" in payload[k]["rep"]:
+            raise CliError(f"$.{k}.rep: label needs representation dimension {dim}, above the bound {MAX_HOM_VARS}")
     print(hom_dim(build_a(), build_b()))
     return 0
 

@@ -13,6 +13,15 @@ never made variables and such pairs contribute no equations.  The other
 constraints and the filtration conditions are assembled over the
 surviving entries only; solutions are put back among the zero entries.
 
+Each filtration condition is emitted once per vector, not once per step.
+At the jump p of a source filtration F_a, the map must send F_a(p) into
+F_b(p).  Only the echelon rows of F_a(p) whose pivot is not a pivot of the
+next step give conditions there; the last step gives all of its rows.
+This cuts out the same maps: for subspaces U of V, the pivot columns of U
+are among those of V, so the rows of V at the other pivots complete U to
+V; and F_b is decreasing, so the conditions of the deeper steps of F_a
+already send the rest of F_a(p) into F_b(p).
+
 The multiplicity of a representation in the coordinate ring of one of the
 built-in examples is the Hom dimension from the object carrying its
 cocharacter filtrations and stabilizer constraints to the analogous object
@@ -21,6 +30,7 @@ of the trivial representation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +39,7 @@ from typing import Iterable, Sequence
 
 from .filtration import FilteredSpace
 from .gl2 import GROUP_FACTORS, GroupActionData, H_STYLE_LIE_PLUS_ELEMENTS, RepData, label_from_factors, rep_from_label
-from .linalg import Mat, kernel, rank
+from .linalg import Mat, SparseRow, kernel, rank
 from .varieties import VarietySpec, cocharacter_filtration
 
 
@@ -62,14 +72,17 @@ def _check_shapes(a: FiltObject, b: FiltObject) -> None:
         raise ValueError("objects carry different numbers of equivariance constraints")
 
 
-def _diagonal(m: Mat) -> tuple[Fraction, ...] | None:
-    """The diagonal entries of m if it has no other nonzero entry, else None."""
+def _diagonal(m: Mat) -> tuple[int | Fraction, ...] | None:
+    """The diagonal entries of m if it has no other nonzero entry, else None.
+    Integral entries come back as ints: they hash alike, and an int's hash
+    is far cheaper than a Fraction's."""
     out = []
     for i, row in enumerate(m.sparse_rows):
         if not row:
             out.append(0)
         elif len(row) == 1 and row[0][0] == i:
-            out.append(row[0][1])
+            x = row[0][1]
+            out.append(x.numerator if x.denominator == 1 else x)
         else:
             return None
     return tuple(out)
@@ -88,7 +101,7 @@ def _hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, list[int]]:
     entries only.
     """
     da, db = a.rep.dim, b.rep.dim
-    diagonal: list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = []
+    diagonal: list[tuple[tuple[int | Fraction, ...], tuple[int | Fraction, ...]]] = []
     general: list[tuple[Mat, Mat]] = []
     for ka, kb in zip(a.h_action.intertwiner_constraints, b.h_action.intertwiner_constraints):
         eigen_a, eigen_b = _diagonal(ka), _diagonal(kb)
@@ -97,7 +110,7 @@ def _hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, list[int]]:
         else:
             diagonal.append((eigen_a, eigen_b))
 
-    cols_by_eigen: dict[tuple[Fraction, ...], list[int]] = {}
+    cols_by_eigen: dict[tuple[int | Fraction, ...], list[int]] = {}
     for c in range(da):
         cols_by_eigen.setdefault(tuple(ea[c] for ea, _ in diagonal), []).append(c)
     free = [(r, c) for r in range(db) for c in cols_by_eigen.get(tuple(eb[r] for _, eb in diagonal), ())]
@@ -124,11 +137,22 @@ def _hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, list[int]]:
             emit(coeffs)
 
     for fa, fb in zip(a.filtrations, b.filtrations):
-        for p in fa.jumps():
-            ann_rows = fb.at(p).annihilator_matrix().sparse_rows
+        # one annihilator per step of fb, keyed by the step's position
+        # (len(fb.steps) stands for the zero space past the last jump)
+        annihilators: dict[int, tuple[SparseRow, ...]] = {}
+        jumps_b = fb.jumps()
+        for t, (p, step) in enumerate(fa.steps):
+            target = bisect_left(jumps_b, p)
+            if target not in annihilators:
+                annihilators[target] = fb.at(p).annihilator_matrix().sparse_rows
+            ann_rows = annihilators[target]
             if not ann_rows:
                 continue
-            for v_nonzero in fa.at(p).sparse_rows:
+            # the next step's pivots: its own conditions cover those rows
+            deeper = {row[0][0] for row in fa.steps[t + 1][1].sparse_rows} if t + 1 < len(fa.steps) else set()
+            for v_nonzero in step.sparse_rows:
+                if v_nonzero[0][0] in deeper:
+                    continue
                 # annihilator rows of the target step kill f v
                 for u_nonzero in ann_rows:
                     emit({var[r, c]: ur * vc for r, ur in u_nonzero for c, vc in v_nonzero if (r, c) in var})

@@ -7,6 +7,9 @@ stored by their reduced row echelon basis, in the same row layout, so two
 equal subspaces have equal representations, ``==`` is a genuine subspace
 equality test, and checking, comparing and reducing against a basis costs
 its nonzeros: a coordinate subspace costs one entry per basis vector.
+Every scalar is a ``Fraction``; ``frac`` hands out one shared ``Fraction``
+per integer in a small fixed table (-256..256), so the integer entries of
+operators, constraints and flags cost a lookup rather than a construction.
 
 Elimination runs on integers.  Each row is scaled by the lcm of its
 denominators and reduced fraction-free on Python ints; rank stops at the
@@ -30,6 +33,11 @@ Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# One shared Fraction per integer in -256..256, so that an integer entry
+# costs a dict lookup rather than a Fraction construction.  0 and 1 map to
+# _ZERO and _ONE, which kron tells apart by identity.
+_SMALL = {i: Fraction(i) for i in range(-256, 257)} | {0: _ZERO, 1: _ONE}
+
 _NOT_RREF = "subspace basis is not in reduced row echelon form"
 
 # Mat and Subspace are frozen and slotted (no per-instance dict, which a
@@ -43,11 +51,15 @@ class AmbientMismatch(ValueError):
 
 
 def frac(x: object) -> Fraction:
-    """Coerce an int, string ("p/q" or "p") or Fraction to a Fraction."""
+    """Coerce an int, string ("p/q" or "p") or Fraction to a Fraction;
+    an int in the shared table gives its shared Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        return _ZERO if x == 0 else _ONE if x == 1 else Fraction(x)
+    if isinstance(x, int):
+        shared = _SMALL.get(x)
+        return Fraction(x) if shared is None else shared
+    if isinstance(x, str):
+        return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
@@ -233,13 +245,8 @@ def kron(a: Mat, b: Mat) -> Mat:
     out = []
     for a_row in a.sparse_rows:
         for b_row in b.sparse_rows:
-            out.append(
-                tuple(
-                    (j * b.cols + k, y if x is _ONE else x if y is _ONE else x * y)
-                    for j, x in a_row
-                    for k, y in b_row
-                )
-            )
+            row = [(j * b.cols + k, y if x is _ONE else x if y is _ONE else x * y) for j, x in a_row for k, y in b_row]
+            out.append(tuple(row))
     return _mat(a.rows * b.rows, a.cols * b.cols, tuple(out))
 
 

@@ -10,8 +10,10 @@ entry, the subspace basis check that tests each pivot column entry by
 entry, grid labels written as one nested loop per group, the matrix-variety
 stabilizer subtracted from the Kronecker-product operators, the
 binary-forms stabilizer built from the representation's operators and a
-symmetric power of its reflection, and symmetric-power characters by
-convolving binomial generating functions.
+symmetric power of its reflection, symmetric-power characters by
+convolving binomial generating functions, and the weight-pruned Hom
+system that emits the filtration conditions at every jump for every
+echelon row of the source step.
 They live only here, so that tests can compare the library against them on
 many inputs.
 """
@@ -71,6 +73,55 @@ def full_hom_system(a: FiltObject, b: FiltObject) -> Mat:
                     rows.append(row)
 
     return Mat.from_rows(rows, nvars)
+
+
+def reference_per_jump_hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, list[int]]:
+    """The weight-pruned Hom system with the filtration conditions emitted
+    per jump: at each jump p of the source, every echelon row of F_a(p)
+    against every annihilator row of F_b(p)."""
+    da, db = a.rep.dim, b.rep.dim
+
+    def diagonal_entries(m: Mat) -> tuple[Fraction, ...] | None:
+        if any(m.at(i, j) for i in range(m.rows) for j in range(m.cols) if i != j):
+            return None
+        return tuple(m.at(i, i) for i in range(m.rows))
+
+    diagonal, general = [], []
+    for ka, kb in zip(a.h_action.intertwiner_constraints, b.h_action.intertwiner_constraints):
+        eigen_a, eigen_b = diagonal_entries(ka), diagonal_entries(kb)
+        if eigen_a is None or eigen_b is None:
+            general.append((ka, kb))
+        else:
+            diagonal.append((eigen_a, eigen_b))
+    free = [(r, c) for r in range(db) for c in range(da) if all(ea[c] == eb[r] for ea, eb in diagonal)]
+    var = {rc: k for k, rc in enumerate(free)}
+    rows: list[list[tuple[int, Fraction]]] = []
+
+    def emit(coeffs: dict[int, Fraction]) -> None:
+        row = sorted((k, x) for k, x in coeffs.items() if x)
+        if row:
+            rows.append(row)
+
+    for ka, kb in general:
+        kb_cols = kb.transpose().sparse_rows
+        equations: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for k, (r, c) in enumerate(free):
+            for j, x in ka.sparse_rows[c]:
+                equations.setdefault((r, j), {})[k] = x
+            for i, x in kb_cols[r]:
+                eq = equations.setdefault((i, c), {})
+                eq[k] = eq.get(k, 0) - x
+        for coeffs in equations.values():
+            emit(coeffs)
+
+    for fa, fb in zip(a.filtrations, b.filtrations):
+        for p in fa.jumps():
+            ann_rows = fb.at(p).annihilator_matrix().sparse_rows
+            for v_nonzero in fa.at(p).sparse_rows:
+                for u_nonzero in ann_rows:
+                    emit({var[r, c]: ur * vc for r, ur in u_nonzero for c, vc in v_nonzero if (r, c) in var})
+
+    return Mat.from_sparse_rows(rows, len(free)), [r * da + c for r, c in free]
 
 
 def reference_hom_dim(a: FiltObject, b: FiltObject) -> int:

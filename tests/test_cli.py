@@ -332,3 +332,26 @@ def test_hom_dim_bounds_a_labeled_rep_before_building_it(tmp_path):
         assert time.perf_counter() - start < 5
         assert done.returncode == 2 and done.stdout == ""
         assert message in done.stderr
+
+
+def test_hom_dim_bounds_a_labeled_rep_against_a_zero_dimensional_side(tmp_path, capsys):
+    import time
+
+    from multifilt.cli import MAX_HOM_VARS
+
+    empty = {"rep": {"dim": 0, "weights": [], "ops": []}, "h_action": {"dim": 0, "intertwiner_constraints": []}, "filtrations": []}
+    path = tmp_path / "zero.json"
+    # the pair needs 0 Hom variables, but the label alone has dimension 2000001
+    huge = {"rep": {"group": "GL2", "label": [2000000, 0]}, "h_action": {"dim": 2000001, "intertwiner_constraints": []}, "filtrations": []}
+    for k, pair in (("a", {"a": huge, "b": empty}), ("b", {"a": empty, "b": huge})):
+        path.write_text(json.dumps(pair))
+        start = time.perf_counter()
+        done = _run_with_memory_cap(["hom-dim", str(path)])
+        assert time.perf_counter() - start < 5
+        assert done.returncode == 2 and done.stdout == ""
+        assert f"$.{k}.rep: label needs representation dimension 2000001, above the bound {MAX_HOM_VARS}" in done.stderr
+    # a label of exactly the bound is built, and gets the empty-map answer
+    at_bound = {"rep": {"group": "GL2", "label": [MAX_HOM_VARS - 1, 0]}, "h_action": {"dim": MAX_HOM_VARS, "intertwiner_constraints": []}, "filtrations": []}
+    path.write_text(json.dumps({"a": at_bound, "b": empty}))
+    code, out, _ = _run(capsys, ["hom-dim", str(path)])
+    assert code == 0 and out.strip() == "0"

@@ -1,12 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from multifilt import linalg
 from multifilt.linalg import (
     AmbientMismatch,
     Mat,
     Subspace,
+    frac,
     kernel,
+    kron,
     rank,
     rref,
     subspace_contains,
@@ -126,3 +130,27 @@ def test_canonicality_random():
         assert regenerated.dim() <= a.dim()
         if regenerated.dim() == a.dim():
             assert regenerated == a
+
+
+def test_frac_shares_zero_and_one_with_kron():
+    assert frac(0) is linalg._ZERO and frac(1) is linalg._ONE
+    # bool inputs read as the ints they equal, as before the shared table
+    assert frac(False) is linalg._ZERO and frac(True) is linalg._ONE
+    # kron copies the other factor's entry where one factor's entry is the
+    # shared one, and an integer 1 read through frac is that shared one
+    m = Mat.from_rows([[Fraction(2, 3), 5]])
+    assert all(x is y for x, y in zip(kron(Mat.from_rows([[1]]), m).entries, m.entries))
+
+
+def test_frac_table_and_beyond_give_equal_fractions():
+    for i in range(-300, 301):
+        x = frac(i)
+        assert type(x) is Fraction and x == i and x.denominator == 1
+        # inside the table every call returns the one shared object
+        assert (frac(i) is x) == (-256 <= i <= 256)
+    for big in (10**30, -(10**30)):
+        assert frac(big) == big and type(frac(big)) is Fraction
+    assert frac("3") == 3 and frac("-2/4") == Fraction(-1, 2) and frac(Fraction(2, 6)) == Fraction(1, 3)
+    for bad in (0.5, None, [1]):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            frac(bad)

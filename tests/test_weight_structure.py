@@ -1,5 +1,6 @@
-"""Cross-checks of the weight-structured Hom solver and coordinate-flag
-filtrations against the plain constructions in reference_paths."""
+"""Cross-checks of the weight-structured Hom solver, its once-per-vector
+filtration conditions and coordinate-flag filtrations against the plain
+constructions in reference_paths."""
 
 import random
 
@@ -19,7 +20,7 @@ from multifilt.gl2 import (
     stabilizer_action_binary_forms,
     weights_of_label,
 )
-from multifilt.homspaces import FiltObject, grid_labels, hom_basis, hom_dim
+from multifilt.homspaces import FiltObject, filt_object, grid_labels, hom_basis, hom_dim
 from multifilt.linalg import Mat
 from multifilt.varieties import (
     BINARY_QUADRATIC_FORMS,
@@ -36,6 +37,7 @@ from reference_paths import (
     reference_hom_basis,
     reference_hom_dim,
     reference_matrix_variety_stabilizer,
+    reference_per_jump_hom_system,
 )
 
 
@@ -217,3 +219,50 @@ def test_forms_stabilizer_matches_operator_reference():
     # the variety reads the same constraints off the label
     rep = rep_from_label("GL2", (6, -3))
     assert spec.stabilizer_action(rep).intertwiner_constraints == reference_binary_forms_stabilizer(6, -3)
+
+
+def _assert_conditions_once_match_per_jump(a, b):
+    """hom_dim and hom_basis equal the full reference, and the system with
+    each filtration condition once has no more rows than the per-jump one;
+    returns both row counts."""
+    _assert_matches_reference(a, b)
+    system, free = homspaces._hom_system(a, b)
+    per_jump, per_jump_free = reference_per_jump_hom_system(a, b)
+    assert free == per_jump_free
+    assert system.rows <= per_jump.rows
+    return system.rows, per_jump.rows
+
+
+def test_conditions_once_match_per_jump_on_paper_and_large_cells():
+    specs = {"GL2": builtin_variety(BINARY_QUADRATIC_FORMS), "GL2xGL2": builtin_variety(TWO_BY_TWO_MATRICES)}
+    trivial = {group: filt_object(spec.trivial_rep(), spec) for group, spec in specs.items()}
+    labels = [
+        *(("GL2", label) for label in grid_labels("GL2", range(0, 9), range(-6, 7))),
+        *(("GL2xGL2", label) for label in grid_labels("GL2xGL2", range(0, 5), range(-2, 4))),
+        *(("GL2xGL2", ((n, 1), (n, 1))) for n in (4, 8, 12)),
+    ]
+    rows = per_jump_rows = 0
+    for group, label in labels:
+        once, per_jump = _assert_conditions_once_match_per_jump(filt_object(rep_from_label(group, label), specs[group]), trivial[group])
+        rows, per_jump_rows = rows + once, per_jump_rows + per_jump
+    # the paper's flags have several steps, so the emission falls in total
+    assert rows < per_jump_rows
+
+
+def _random_flag(rng, dim):
+    """A multi-step flag: dense in a random basis, or a coordinate flag."""
+    if rng.random() < 0.5:
+        return random_filtered_space(rng, lo=-5, hi=5, dim=dim)
+    return cocharacter_filtration(RepData(dim, tuple((rng.randint(-2, 2),) for _ in range(dim)), ()), (1,))
+
+
+def test_conditions_once_match_per_jump_on_random_pairs():
+    rng = random.Random(53)
+    for _ in range(200):
+        ncons, nfilt = rng.randint(0, 2), rng.randint(1, 3)
+        objects = []
+        for dim in (rng.randint(1, 8), rng.randint(1, 8)):
+            cons = tuple(_diag(*(rng.choice((0, 1, 2)) for _ in range(dim))) for _ in range(ncons))
+            filts = tuple(_random_flag(rng, dim) for _ in range(nfilt))
+            objects.append(FiltObject(RepData(dim, ((0, 0),) * dim, ()), GroupActionData(dim, cons), filts))
+        _assert_conditions_once_match_per_jump(*objects)
