@@ -32,10 +32,10 @@ labels, in closed form, as column-convention sparse rows.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
-from typing import Sequence
 
 from .linalg import Mat, kron
 
@@ -54,19 +54,66 @@ H_STYLES = (H_STYLE_LIE_ONLY, H_STYLE_LIE_PLUS_ELEMENTS)
 
 @dataclass(frozen=True)
 class RepData:
-    """A representation as weight data plus explicit action operators."""
+    """A representation as weight data plus explicit action operators.
+
+    The operators of an external product are built on first read (see
+    external_rep); any other sequence of operators is checked here."""
 
     dim: int
     weights: tuple[Weight, ...]
-    action_ops: tuple[Mat, ...]
+    action_ops: Sequence[Mat]
     label: object = None
 
     def __post_init__(self) -> None:
         if len(self.weights) != self.dim:
             raise ValueError("need one weight per basis vector")
-        for op in self.action_ops:
-            if op.rows != self.dim or op.cols != self.dim:
-                raise ValueError("action operators must be square of the representation dimension")
+        if type(self.action_ops) is not _ProductOps:
+            _check_ops(self.action_ops, self.dim)
+
+
+def _check_ops(ops: Sequence[Mat], dim: int) -> None:
+    for op in ops:
+        if op.rows != dim or op.cols != dim:
+            raise ValueError("action operators must be square of the representation dimension")
+
+
+class _ProductOps(Sequence):
+    """The eight action operators of an external product, in the order of
+    the module docstring, built on first read and then kept.
+
+    Nothing on the multiplicity path reads them: the stabilizers and flags
+    are written from the label and the weights.  ``len`` answers without
+    building them; indexing, iterating, ``==``, ``hash`` and ``repr`` build
+    all eight once and then behave as the tuple of them does."""
+
+    __slots__ = ("_left", "_right", "_ops")
+
+    def __init__(self, left: RepData, right: RepData) -> None:
+        self._left, self._right, self._ops = left, right, None
+
+    def _built(self) -> tuple[Mat, ...]:
+        if self._ops is None:
+            left, right = self._left, self._right
+            il, ir = Mat.identity(left.dim), Mat.identity(right.dim)
+            ops = tuple(kron(op, ir) for op in left.action_ops) + tuple(kron(il, op) for op in right.action_ops)
+            _check_ops(ops, left.dim * right.dim)
+            self._ops = ops
+        return self._ops
+
+    def __len__(self) -> int:
+        return len(self._left.action_ops) + len(self._right.action_ops)
+
+    def __getitem__(self, k):
+        return self._built()[k]
+
+    def __eq__(self, other: object) -> bool:
+        return self._built() == other
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
 
 
 @dataclass(frozen=True)
@@ -162,13 +209,13 @@ def clebsch_gordan(a: Gl2Label, b: Gl2Label) -> tuple[Gl2Label, ...]:
 
 
 def external_rep(a: Gl2Label, b: Gl2Label) -> RepData:
-    """External product of two GL2 irreducibles as a GL2 x GL2 representation."""
+    """External product of two GL2 irreducibles as a GL2 x GL2 representation.
+
+    Its Kronecker-product operators are built on first read."""
     left = irrep_gl2(*a)
     right = irrep_gl2(*b)
     weights = tuple(w1 + w2 for w1 in left.weights for w2 in right.weights)
-    il, ir = Mat.identity(left.dim), Mat.identity(right.dim)
-    ops = tuple(kron(op, ir) for op in left.action_ops) + tuple(kron(il, op) for op in right.action_ops)
-    return RepData(left.dim * right.dim, weights, ops, label=(a, b))
+    return RepData(left.dim * right.dim, weights, _ProductOps(left, right), label=(a, b))
 
 
 def restrict_to_diagonal(w: RepData) -> RepData:

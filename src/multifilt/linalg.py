@@ -53,14 +53,19 @@ class AmbientMismatch(ValueError):
 def frac(x: object) -> Fraction:
     """Coerce an int, string ("p/q" or "p") or Fraction to a Fraction;
     an int in the shared table gives its shared Fraction."""
-    if isinstance(x, Fraction):
+    # Exact type tests first: Fraction's metaclass is ABCMeta, so an
+    # isinstance test against it costs an ABC subclass check per entry.
+    if type(x) is Fraction:
         return x
-    if isinstance(x, int):
-        shared = _SMALL.get(x)
-        return Fraction(x) if shared is None else shared
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational number")
+    if type(x) is not int:
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, str):
+            return Fraction(x)
+        if not isinstance(x, int):
+            raise TypeError(f"cannot interpret {x!r} as a rational number")
+    shared = _SMALL.get(x)
+    return Fraction(x) if shared is None else shared
 
 
 def vector(entries: Iterable[object]) -> Vector:
@@ -338,7 +343,7 @@ class Subspace:
 
     def __init__(self, ambient_dim: int, basis: Sequence[Sequence[object]]) -> None:
         """The subspace whose reduced row echelon basis is given as dense rows."""
-        rows = tuple(tuple([(j, x if type(x) is Fraction else Fraction(x)) for j, x in enumerate(row) if x]) for row in basis)
+        rows = tuple(tuple([(j, x) for j, x in enumerate(map(frac, row)) if x]) for row in basis)
         if any(len(row) != ambient_dim for row in basis) or not _is_echelon(rows, ambient_dim):
             # Raise the fault that a check of one row at a time meets first:
             # for row i, its length, a nonzero entry, a leading 1 right of the

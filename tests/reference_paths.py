@@ -11,9 +11,10 @@ entry, grid labels written as one nested loop per group, the matrix-variety
 stabilizer subtracted from the Kronecker-product operators, the
 binary-forms stabilizer built from the representation's operators and a
 symmetric power of its reflection, symmetric-power characters by
-convolving binomial generating functions, and the weight-pruned Hom
+convolving binomial generating functions, the weight-pruned Hom
 system that emits the filtration conditions at every jump for every
-echelon row of the source step.
+echelon row of the source step, and the external product with its
+Kronecker-product operators built up front.
 They live only here, so that tests can compare the library against them on
 many inputs.
 """
@@ -28,9 +29,9 @@ from typing import Iterable, Mapping, Sequence
 
 from multifilt.characters import WeightMultiset
 from multifilt.filtration import FilteredSpace, make_filtered
-from multifilt.gl2 import RepData, Weight, irrep_gl2
+from multifilt.gl2 import Gl2Label, RepData, Weight, irrep_gl2
 from multifilt.homspaces import FiltObject
-from multifilt.linalg import AmbientMismatch, Mat, Subspace, kernel, rank, vector
+from multifilt.linalg import AmbientMismatch, Mat, Subspace, kernel, kron, rank, vector
 from multifilt.varieties import Cocharacter, pairing
 
 
@@ -299,6 +300,17 @@ def reference_matrix_variety_stabilizer(rep: RepData) -> tuple[Mat, ...]:
     h12 - h22), subtracted from the eight factor operators of rep."""
     e1, f1, h11, h12, e2, f2, h21, h22 = rep.action_ops
     return (e1 - f2, f1 - e2, h11 - h21, h12 - h22)
+
+
+def reference_external_rep(a: Gl2Label, b: Gl2Label) -> RepData:
+    """External product of two GL2 irreducibles with its eight
+    Kronecker-product operators built up front, as a plain tuple."""
+    left = irrep_gl2(*a)
+    right = irrep_gl2(*b)
+    weights = tuple(w1 + w2 for w1 in left.weights for w2 in right.weights)
+    il, ir = Mat.identity(left.dim), Mat.identity(right.dim)
+    ops = tuple(kron(op, ir) for op in left.action_ops) + tuple(kron(il, op) for op in right.action_ops)
+    return RepData(left.dim * right.dim, weights, ops, label=(a, b))
 
 
 def reference_binary_forms_stabilizer(n: int, m: int) -> tuple[Mat, Mat]:

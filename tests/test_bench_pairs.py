@@ -1,0 +1,78 @@
+"""The aggregation of tools/bench_pairs.py on canned result lines."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import bench_pairs  # noqa: E402
+
+END_TO_END = [
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+]
+
+
+def _stdout(ops_per_s: float, rss: float, failed: int = 0) -> str:
+    """What bench/run.py prints: a details line, then the result line."""
+    details = json.dumps({"workload": "large-cells", "seed": 1})
+    result = {
+        "correct": failed == 0,
+        "attempted": 100,
+        "failed": failed,
+        "metrics": {"ops_per_s": {"value": ops_per_s, "unit": "1/s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}},
+    }
+    return f"{details}\n{json.dumps(result)}\n"
+
+
+def _pairs(base, change):
+    return [(bench_pairs.parse_result(_stdout(*b)), bench_pairs.parse_result(_stdout(*c))) for b, c in zip(base, change)]
+
+
+def test_parse_result_reads_the_last_line():
+    result = bench_pairs.parse_result(_stdout(400.0, 26.0) + "\n")
+    assert result["metrics"]["ops_per_s"]["value"] == 400.0 and result["correct"]
+    with pytest.raises(ValueError):
+        bench_pairs.parse_result("")
+    with pytest.raises(ValueError):
+        bench_pairs.parse_result(json.dumps({"workload": "large-cells"}))
+
+
+def test_summary_counts_wins_ties_and_spreads():
+    base = [(400.0, 26.0), (410.0, 26.0), (420.0, 26.5), (430.0, 26.0), (440.0, 25.5)]
+    change = [(600.0, 27.0), (410.0, 26.0), (650.0, 26.5), (620.0, 25.0), (610.0, 27.0)]
+    summary = bench_pairs.summarize(_pairs(base, change), END_TO_END)
+    ops = summary["metrics"]["ops_per_s"]
+    assert ops["base"]["runs"] == [400.0, 410.0, 420.0, 430.0, 440.0]
+    assert (ops["base"]["median"], ops["base"]["q1"], ops["base"]["q3"]) == (420.0, 410.0, 430.0)
+    assert ops["change"]["median"] == 610.0
+    assert (ops["change_wins"], ops["ties"], ops["pairs"]) == (4, 1, 5)
+    assert ops["relative_change"] == pytest.approx(190 / 420)
+    # 4 of 5 pairs is short of nine tenths, whatever the medians say
+    assert ops["within_bound"] and not ops["gain_holds"]
+    rss = summary["metrics"]["peak_rss_mb"]
+    # lower is better: 26.0 -> 27.0 loses, 26.0 -> 25.0 wins
+    assert (rss["change_wins"], rss["ties"]) == (1, 2)
+    assert rss["relative_change"] == pytest.approx(0.5 / 26.0) and rss["within_bound"] and not rss["gain_holds"]
+    assert summary["base"] == {"attempted": 500, "failed": 0} and summary["all_correct"]
+
+
+def test_gain_needs_nine_tenths_and_a_gap_past_the_base_spread():
+    base = [(400.0 + k, 26.0) for k in range(10)]
+    wide = [(400.0 + k + 3, 26.0) for k in range(10)]  # wins every pair; medians 3 apart, base IQR 4.5
+    clear = [(500.0 + k, 30.0) for k in range(10)]
+    narrow = bench_pairs.summarize(_pairs(base, wide), END_TO_END)["metrics"]
+    assert narrow["ops_per_s"]["change_wins"] == 10 and not narrow["ops_per_s"]["gain_holds"]
+    summary = bench_pairs.summarize(_pairs(base, clear), END_TO_END)["metrics"]
+    assert summary["ops_per_s"]["gain_holds"]
+    # +15% peak memory is past the 0.1 bound
+    assert not summary["peak_rss_mb"]["within_bound"]
+
+
+def test_failed_ops_are_summed_per_side():
+    summary = bench_pairs.summarize(_pairs([(400.0, 26.0)] * 2, [(500.0, 26.0, 3), (500.0, 26.0)]), END_TO_END)
+    assert summary["change"] == {"attempted": 200, "failed": 3} and not summary["all_correct"]
+    assert summary["metrics"]["ops_per_s"]["base"]["q1"] == 400.0

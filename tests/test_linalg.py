@@ -154,3 +154,34 @@ def test_frac_table_and_beyond_give_equal_fractions():
     for bad in (0.5, None, [1]):
         with pytest.raises(TypeError, match="cannot interpret"):
             frac(bad)
+
+
+def test_frac_reads_subclasses_and_names_what_it_rejects():
+    class Count(int):
+        pass
+
+    class Ratio(Fraction):
+        pass
+
+    # an int subclass reads as the int it equals, shared inside the table
+    assert frac(Count(7)) is frac(7) and frac(Count(0)) is linalg._ZERO
+    big = frac(Count(10**20))
+    assert type(big) is Fraction and big == 10**20
+    # a Fraction subclass is returned as it is
+    r = Ratio(3, 4)
+    assert frac(r) is r
+    assert frac(" -6/8 ") == Fraction(-3, 4) and frac("5") == 5
+    with pytest.raises(ValueError):
+        frac("1.5e")
+    for bad in (0.5, 1.0, None):
+        with pytest.raises(TypeError) as err:
+            frac(bad)
+        assert str(err.value) == f"cannot interpret {bad!r} as a rational number"
+
+
+def test_dense_subspace_basis_rejects_floats_as_frac_does():
+    for basis in ([[1, 0.1]], [[1, 0.0]], [[1.0, 0]], [[1, None]]):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            Subspace(2, basis)
+    # ints, strings and Fractions are still read exactly
+    assert Subspace(2, [[1, "1/3"]]) == Subspace(2, [[Fraction(1), Fraction(1, 3)]]) == Subspace.span(2, [[3, 1]])

@@ -1,0 +1,110 @@
+"""The deferred Kronecker-product operators of an external product against
+the eager construction, and the stored form of the stabilizer constraints
+and cocharacter flags that the Hom solver reads."""
+
+from fractions import Fraction
+
+import pytest
+
+from multifilt import gl2, linalg
+from multifilt.gl2 import H_STYLES, RepData, external_rep, irrep_gl2, rep_from_label, restrict_to_diagonal
+from multifilt.homspaces import grid_labels
+from multifilt.linalg import Mat, Subspace, kron
+from multifilt.varieties import BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES, builtin_variety, cocharacter_filtration
+from reference_paths import reference_external_rep
+
+
+def _product_labels():
+    yield from grid_labels("GL2xGL2", range(0, 5), range(-2, 4))
+    yield from (((n, 1), (n, 1)) for n in range(0, 13))
+
+
+def _assert_same_as_eager(rep: RepData, ref: RepData) -> None:
+    assert isinstance(ref.action_ops, tuple)
+    assert tuple(rep.action_ops) == ref.action_ops
+    assert rep.action_ops == ref.action_ops and ref.action_ops == rep.action_ops
+    assert rep == ref and ref == rep
+    assert hash(rep) == hash(ref) and repr(rep) == repr(ref)
+    assert restrict_to_diagonal(rep) == restrict_to_diagonal(ref)
+
+
+def test_deferred_product_matches_eager_reference():
+    for label in _product_labels():
+        _assert_same_as_eager(rep_from_label("GL2xGL2", label), reference_external_rep(*label))
+    trivial = builtin_variety(TWO_BY_TWO_MATRICES).trivial_rep()
+    _assert_same_as_eager(trivial, reference_external_rep((0, 0), (0, 0)))
+
+
+def test_product_ops_are_built_once_on_first_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gl2, "kron", lambda a, b: calls.append((a, b)) or kron(a, b))
+    rep = external_rep((3, 1), (2, 0))
+    assert len(rep.action_ops) == 8 and not calls
+    # what the benchmark's trace reads of a result builds nothing either
+    assert hasattr(rep, "action_ops") and rep.dim == 12 and not calls
+    first = rep.action_ops[0]
+    assert len(calls) == 8
+    assert list(rep.action_ops)[0] is first and rep.action_ops[-1] is rep.action_ops[7]
+    assert hash(rep) == hash(rep) and repr(rep) == repr(rep)
+    assert len(calls) == 8
+    assert rep == external_rep((3, 1), (2, 0))
+    assert len(calls) == 16  # the second product built its own, once
+
+
+def test_operator_shapes_are_checked():
+    with pytest.raises(ValueError, match="square of the representation dimension"):
+        RepData(2, ((0, 0),) * 2, (Mat.identity(3),))
+    with pytest.raises(ValueError, match="square of the representation dimension"):
+        RepData(2, ((0, 0),) * 2, [Mat.identity(2), Mat.zero(2, 3)])
+    # a deferred product checks its operators when they are built
+    right = irrep_gl2(1, 0)
+    object.__setattr__(right, "action_ops", (Mat.identity(3),) * 4)
+    rep = RepData(4, ((0, 0, 0, 0),) * 4, gl2._ProductOps(irrep_gl2(1, 0), right))
+    assert len(rep.action_ops) == 8
+    with pytest.raises(ValueError, match="square of the representation dimension"):
+        rep.action_ops[0]
+
+
+def _assert_stored_form(m: Mat) -> None:
+    """m is what Mat.from_sparse_rows makes of its own rows: increasing
+    columns below the column count and no zero values; and every value is
+    a Fraction, the shared one where frac has one.  Rows written directly
+    in this form could skip that constructor's per-entry checks."""
+    assert Mat.from_sparse_rows(m.sparse_rows, m.cols) == m
+    for row in m.sparse_rows:
+        for _, x in row:
+            assert type(x) is Fraction
+            assert x.denominator != 1 or linalg._SMALL.get(x.numerator, x) is x
+
+
+def _assert_echelon_steps(rep: RepData, spec) -> None:
+    for mu in spec.boundary_cocharacters:
+        for _, step in cocharacter_filtration(rep, mu).steps:
+            assert Subspace.from_sparse_rows(step.ambient_dim, step.sparse_rows) == step
+
+
+def test_constraints_and_flags_are_in_stored_form():
+    specs = {"GL2": builtin_variety(BINARY_QUADRATIC_FORMS), "GL2xGL2": builtin_variety(TWO_BY_TWO_MATRICES)}
+    labels = [
+        *(("GL2", label) for label in grid_labels("GL2", range(0, 9), range(-6, 7))),
+        *(("GL2xGL2", label) for label in _product_labels()),
+        # binomials and weight differences past the shared table
+        ("GL2", (12, 1)),
+        ("GL2", (40, -3)),
+        ("GL2xGL2", ((0, 300), (0, -300))),
+        ("GL2xGL2", ((2, -300), (3, 301))),
+    ]
+    reps = [(group, rep_from_label(group, label)) for group, label in labels]
+    reps += [(group, spec.trivial_rep()) for group, spec in specs.items()]
+    unshared = 0
+    for group, rep in reps:
+        for style in H_STYLES:
+            for m in specs[group].stabilizer_action(rep, style).intertwiner_constraints:
+                _assert_stored_form(m)
+                unshared += any(abs(x) > 256 for row in m.sparse_rows for _, x in row)
+        _assert_echelon_steps(rep, specs[group])
+    assert unshared
+    # a zero torus eigenvalue leaves its row empty rather than storing a zero
+    matrix_torus = specs["GL2xGL2"].stabilizer_action(rep_from_label("GL2xGL2", ((1, 0), (1, 0)))).intertwiner_constraints[2]
+    forms_torus = specs["GL2"].stabilizer_action(rep_from_label("GL2", (2, 0))).intertwiner_constraints[0]
+    assert matrix_torus.sparse_rows[0] == () and forms_torus.sparse_rows[1] == ((2, -4),)
