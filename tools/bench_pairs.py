@@ -14,11 +14,12 @@ bytecode.  An export also leaves nothing registered in the repository, so
 an interrupted run needs no clean-up beyond its temporary directory.
 
 Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
---trace 0`` once per side and workload; which side goes first alternates from
-pair to pair.  The output file holds, per workload and end-to-end metric of
-BENCHMARK.json, each side's runs, median and quartiles, the pairs the working
-tree won and tied, the relative change of the medians, and whether that
-change stays within the metric's bound.
+--trace 0`` once per side and per workload of BENCHMARK.json, with T its
+``run_seconds``; which side goes first alternates from pair to pair.  The
+output file holds, per workload and end-to-end metric of BENCHMARK.json, each
+side's runs, median and quartiles, the pairs the working tree won and tied,
+the relative change of the medians, and whether that change stays within the
+metric's bound.
 """
 
 from __future__ import annotations
@@ -138,18 +139,17 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--base", default="HEAD", help="commit to compare the working tree against (default HEAD)")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workload", action="append", help="repeat for several; default every workload of BENCHMARK.json")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs and --seconds must be positive")
+    if args.pairs < 1:
+        parser.error("--pairs must be positive")
     return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     base_sha = _git("rev-parse", args.base).strip()
     results: dict[str, list[tuple[dict, dict]]] = {w: [] for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -159,14 +159,14 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for workload in workloads:
-                got = {side: run_bench(trees[side], workload, args.seed, args.seconds) for side in order}
+                got = {side: run_bench(trees[side], workload, args.seed, seconds) for side in order}
                 results[workload].append((got["base"], got["change"]))
                 ops = {side: got[side]["metrics"]["ops_per_s"]["value"] for side in SIDES}
                 print(f"pair {i + 1}/{args.pairs} {workload}: first {order[0]}, ops_per_s {ops}", file=sys.stderr)
     report = {
         "base": base_sha,
         "change": {"head": _git("rev-parse", "HEAD").strip(), "dirty": bool(_git("status", "--porcelain").strip())},
-        "command": f"python3 bench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 bench/run.py --workload W --seed {args.seed} --seconds {seconds} --trace 0",
         "pairs": args.pairs,
         "first_side": [SIDES[i % 2] for i in range(args.pairs)],
         "env": {"python": platform.python_version(), "machine": platform.machine(), "nproc": len(os.sched_getaffinity(0))},
