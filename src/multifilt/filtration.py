@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .linalg import AmbientMismatch, Mat, Subspace, Vector, subspace_sum
+from .linalg import AmbientMismatch, Mat, Subspace, Vector, check_dim, subspace_sum
 
 
 class NotDecreasing(ValueError):
@@ -65,6 +65,7 @@ class FilteredSpace:
     steps: tuple[tuple[int, Subspace], ...]
 
     def __post_init__(self) -> None:
+        check_dim(self.dim)
         for idx, sub in self.steps:
             if sub.ambient_dim != self.dim:
                 raise AmbientMismatch(f"step has ambient dimension {sub.ambient_dim}, expected {self.dim}")
@@ -92,7 +93,8 @@ class FilteredSpace:
 def make_filtered(dim: int, steps: Mapping[int, Subspace]) -> FilteredSpace:
     """Validate and normalize a filtration given on a finite set of indices.
 
-    Raises AmbientMismatch, NotDecreasing or NotExhaustive.
+    Raises AmbientMismatch, NotDecreasing or NotExhaustive, and ValueError
+    for a negative dimension.
     """
     items = sorted(steps.items())
     for _, sub in items:

@@ -27,7 +27,7 @@ lists the expansion of the image of the i-th monomial) because that is the
 shape in which such matrices are usually tabulated; it is multiplicative as
 written.  Nothing in the library builds operators from it: the stabilizer
 constraints of both built-in examples are written directly from their
-labels, in closed form, as column-convention sparse rows.
+labels, in closed form, as column-convention sparse rows in stored form.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .linalg import Mat, kron
+from .linalg import Mat, _mat, check_dim, frac, kron
 
 Weight = tuple[int, ...]
 Gl2Label = tuple[int, int]
@@ -65,6 +65,7 @@ class RepData:
     label: object = None
 
     def __post_init__(self) -> None:
+        check_dim(self.dim)
         if len(self.weights) != self.dim:
             raise ValueError("need one weight per basis vector")
         if type(self.action_ops) is not _ProductOps:
@@ -125,6 +126,7 @@ class GroupActionData:
     intertwiner_constraints: tuple[Mat, ...]
 
     def __post_init__(self) -> None:
+        check_dim(self.dim)
         for op in self.intertwiner_constraints:
             if op.rows != self.dim or op.cols != self.dim:
                 raise ValueError("constraint matrices must be square of the object dimension")
@@ -156,7 +158,7 @@ def irrep_gl2(n: int, m: int) -> RepData:
     """The irreducible GL2 representation labeled (n, m)."""
     if n < 0:
         raise ValueError(_NEGATIVE_DEGREE)
-    weights = tuple((n - j + m, j + m) for j in range(n + 1))
+    weights = tuple([(n - j + m, j + m) for j in range(n + 1)])
     ops = tuple(_lie_op(x, n, m) for x in (_E12, _E21, _E11, _E22))
     return RepData(n + 1, weights, ops, label=(n, m))
 
@@ -245,18 +247,25 @@ def stabilizer_action_binary_forms(n: int, m: int, style: str = H_STYLE_LIE_PLUS
         raise ValueError(f"unknown constraint style {style!r}")
     if n < 0:
         raise ValueError(_NEGATIVE_DEGREE)
-    # X acts as _lie_op does with a, b, c, d = 1, -2, 0, -1: row i holds
-    # (n - i) a + i d = n - 2i on the diagonal and (i + 1) b = -2(i + 1) in
-    # column i + 1 (a zero diagonal entry is dropped by from_sparse_rows).
-    torus = Mat.from_sparse_rows([[(i, n - 2 * i)] + [(i + 1, -2 * (i + 1))] * (i < n) for i in range(n + 1)], n + 1)
+    # Both constraints are written in stored form: increasing columns, no
+    # zero values.  X acts as _lie_op does with a, b, c, d = 1, -2, 0, -1:
+    # row i holds (n - i) a + i d = n - 2i on the diagonal, dropped where it
+    # is zero, and (i + 1) b = -2(i + 1) in column i + 1.
+    torus = _mat(
+        n + 1,
+        n + 1,
+        tuple([tuple([(i, frac(n - 2 * i))] * (2 * i != n) + [(i + 1, frac(-2 * (i + 1)))] * (i < n)) for i in range(n + 1)]),
+    )
     if style == H_STYLE_LIE_ONLY:
         return GroupActionData(n + 1, (torus,))
     # g sends basis vector x^(n-c) y^c, in column c, to the expansion of
     # (x + y)^(n-c) (-y)^c, whose coefficient on x^(n-r) y^r is
     # (-1)^c binom(n - c, r - c) for r >= c; with det(g)^m this is the
     # lower-triangular entry (r, c), all of whose binomials are nonzero.
-    reflection = Mat.from_sparse_rows(
-        [[(c, (-1) ** ((m + c) % 2) * comb(n - c, r - c)) for c in range(r + 1)] for r in range(n + 1)], n + 1
+    reflection = _mat(
+        n + 1,
+        n + 1,
+        tuple([tuple([(c, frac((-1) ** ((m + c) % 2) * comb(n - c, r - c))) for c in range(r + 1)]) for r in range(n + 1)]),
     )
     return GroupActionData(n + 1, (torus, reflection))
 

@@ -80,6 +80,12 @@ def _check_shape(rows: int, cols: int) -> None:
         raise ValueError("negative matrix shape")
 
 
+def check_dim(n: int) -> None:
+    """Raise ValueError if n is negative: every space has a dimension >= 0."""
+    if n < 0:
+        raise ValueError(f"dimension {n} is negative")
+
+
 @dataclass(frozen=True, init=False, slots=True)
 class Mat:
     """Rational matrix that stores only its nonzero entries.
@@ -110,6 +116,7 @@ class Mat:
                 raise ValueError("ragged rows")
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
+        _check_shape(0, cols)
         return _mat(len(rows), cols, tuple(_nonzeros(r) for r in rows))
 
     @staticmethod
@@ -200,7 +207,13 @@ class Mat:
 
 
 def _mat(rows: int, cols: int, sparse_rows: tuple[SparseRow, ...]) -> Mat:
-    """A matrix from rows already in stored form (sorted, no zero values)."""
+    """A matrix from rows already in stored form, taken as they are.
+
+    Stored form is what ``Mat.from_sparse_rows`` makes of its input: a tuple
+    of row tuples, columns increasing and below cols, no zero values, and
+    every value a ``Fraction`` as ``frac`` gives it (the shared one for a
+    small integer).  Rows written in this form by construction skip that
+    constructor's per-entry checks."""
     m = object.__new__(Mat)
     _init_mat(m, rows, cols, sparse_rows)
     return m
@@ -343,6 +356,7 @@ class Subspace:
 
     def __init__(self, ambient_dim: int, basis: Sequence[Sequence[object]]) -> None:
         """The subspace whose reduced row echelon basis is given as dense rows."""
+        check_dim(ambient_dim)
         rows = tuple(tuple([(j, x) for j, x in enumerate(map(frac, row)) if x]) for row in basis)
         if any(len(row) != ambient_dim for row in basis) or not _is_echelon(rows, ambient_dim):
             # Raise the fault that a check of one row at a time meets first:
@@ -369,6 +383,7 @@ class Subspace:
         """The subspace whose reduced row echelon basis is given as rows in
         the stored layout of ``Mat.sparse_rows``; the rows are kept, not
         copied, so subspaces built from the same rows share them."""
+        check_dim(ambient_dim)
         rows = tuple(map(tuple, rows))
         if not _is_echelon(rows, ambient_dim):
             raise ValueError("zero row in subspace basis" if not all(rows) else _NOT_RREF)
@@ -382,6 +397,7 @@ class Subspace:
 
     @staticmethod
     def span(ambient_dim: int, vectors: Sequence[Iterable[object]]) -> "Subspace":
+        check_dim(ambient_dim)
         vecs = [vector(v) for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
@@ -390,10 +406,12 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
+        check_dim(ambient_dim)
         return _subspace(ambient_dim, ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
+        check_dim(ambient_dim)
         return _subspace(ambient_dim, Mat.identity(ambient_dim).sparse_rows)
 
     @property
@@ -436,7 +454,8 @@ class Subspace:
 
 
 def _subspace(ambient_dim: int, sparse_rows: tuple[SparseRow, ...]) -> Subspace:
-    """A subspace from rows already in stored form and echelon form."""
+    """A subspace from rows already in stored form (see _mat) and reduced
+    row echelon form, taken as they are."""
     s = object.__new__(Subspace)
     _set(s, "ambient_dim", ambient_dim)
     _set(s, "sparse_rows", sparse_rows)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .filtration import FilteredSpace, GradedVectorSpace, adapted_basis, make_filtered
-from .linalg import Subspace, Vector, vector
+from .linalg import Subspace, Vector, check_dim, vector
 
 
 class RankDeficient(ValueError):
@@ -26,6 +26,9 @@ class GradedFreeModule:
 
     ambient_dim: int
     generators: tuple[tuple[Vector, int], ...]
+
+    def __post_init__(self) -> None:
+        check_dim(self.ambient_dim)
 
     @staticmethod
     def of(ambient_dim: int, generators) -> "GradedFreeModule":

@@ -14,7 +14,7 @@ from typing import Any, Callable
 from .filtration import FilteredSpace, GradedVectorSpace, make_filtered
 from .gl2 import GROUP_FACTORS, GroupActionData, RepData, group_label_factors, label_dim, rep_from_label
 from .homspaces import FiltObject, check_object_dims
-from .linalg import Mat, Subspace
+from .linalg import Mat, Subspace, check_dim
 from .rees import GradedFreeModule
 from .varieties import VarietySpec, custom_variety
 
@@ -58,6 +58,15 @@ def _expect_int(value: Any, path: str) -> int:
     return value
 
 
+def _expect_dim(value: Any, path: str) -> int:
+    dim = _expect_int(value, path)
+    try:
+        check_dim(dim)
+    except ValueError as exc:
+        raise InputError(path, str(exc)) from None
+    return dim
+
+
 def vector_to_json(v) -> list[str]:
     return [rat_to_str(x) for x in v]
 
@@ -84,7 +93,7 @@ def filtered_space_to_json(fs: FilteredSpace) -> dict:
 
 def filtered_space_from_json(value: Any, path: str = "$") -> FilteredSpace:
     obj = _expect_object(value, path)
-    dim = _expect_int(obj.get("dim"), f"{path}.dim")
+    dim = _expect_dim(obj.get("dim"), f"{path}.dim")
     steps = {}
     for i, step in enumerate(_expect_list(obj.get("steps", []), f"{path}.steps")):
         sp = f"{path}.steps[{i}]"
@@ -110,7 +119,7 @@ def graded_module_to_json(m: GradedFreeModule) -> dict:
 
 def graded_module_from_json(value: Any, path: str = "$") -> GradedFreeModule:
     obj = _expect_object(value, path)
-    ambient = _expect_int(obj.get("ambient_dim"), f"{path}.ambient_dim")
+    ambient = _expect_dim(obj.get("ambient_dim"), f"{path}.ambient_dim")
     gens = []
     for i, gen in enumerate(_expect_list(obj.get("generators", []), f"{path}.generators")):
         gp = f"{path}.generators[{i}]"
@@ -146,7 +155,7 @@ def _rep_reader(value: Any, path: str) -> tuple[int, Callable[[], RepData]]:
         except ValueError as exc:
             raise InputError(f"{path}.label", str(exc)) from None
         return label_dim(label), lambda: rep_from_label(group, label)
-    dim = _expect_int(obj.get("dim"), f"{path}.dim")
+    dim = _expect_dim(obj.get("dim"), f"{path}.dim")
     weights = tuple(
         tuple(_expect_int(c, f"{path}.weights[{i}]") for c in _expect_list(w, f"{path}.weights[{i}]"))
         for i, w in enumerate(_expect_list(obj.get("weights"), f"{path}.weights"))
@@ -161,7 +170,7 @@ def _rep_reader(value: Any, path: str) -> tuple[int, Callable[[], RepData]]:
 
 def group_action_from_json(value: Any, path: str = "$") -> GroupActionData:
     obj = _expect_object(value, path)
-    dim = _expect_int(obj.get("dim"), f"{path}.dim")
+    dim = _expect_dim(obj.get("dim"), f"{path}.dim")
     mats = tuple(
         matrix_from_json(m, f"{path}.intertwiner_constraints[{i}]")
         for i, m in enumerate(_expect_list(obj.get("intertwiner_constraints", []), f"{path}.intertwiner_constraints"))

@@ -31,9 +31,10 @@ Conventions pinned by the built-ins (printed by the CLI as well):
   {(g, transpose-inverse of g)}, a connected copy of GL2, realized on a
   product representation by pairing each factor operator with minus the
   transposed operator of the other factor.  The constraints are written
-  directly from the label as sparse rows: e x 1 - 1 x f and f x 1 - 1 x e
-  have at most two nonzeros per row, and the torus pairs are diagonal with
-  the weight differences as eigenvalues.  Boundary cocharacter (1, 1, 0, -1).
+  directly from the label as sparse rows in stored form (see linalg._mat):
+  e x 1 - 1 x f and f x 1 - 1 x e have at most two nonzeros per row, and
+  the torus pairs are diagonal with the weight differences as eigenvalues.
+  Boundary cocharacter (1, 1, 0, -1).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .gl2 import (
     label_factors,
     stabilizer_action_binary_forms,
 )
-from .linalg import Mat, Subspace
+from .linalg import Mat, _mat, _subspace, frac
 
 Cocharacter = tuple[int, ...]
 
@@ -81,15 +82,13 @@ def cocharacter_filtration(rep: RepData, mu: Cocharacter) -> FilteredSpace:
     its unit vectors, in index order, are already its canonical echelon
     basis.  Each attained value is a jump, because its own basis vectors
     leave the step above it.  All steps share the unit rows ((b, 1),), so a
-    step costs one entry per basis vector.
+    step costs one entry per basis vector, and is built as it stands, with
+    no echelon check.
     """
     dim = rep.dim
     values = [-pairing(mu, chi) for chi in rep.weights]
     units = Mat.identity(dim).sparse_rows
-    steps = tuple(
-        (v, Subspace.from_sparse_rows(dim, [units[b] for b in range(dim) if values[b] >= v]))
-        for v in sorted(set(values))
-    )
+    steps = tuple([(v, _subspace(dim, tuple([units[b] for b in range(dim) if values[b] >= v]))) for v in sorted(set(values))])
     return FilteredSpace(dim, steps)
 
 
@@ -154,16 +153,20 @@ def _matrix_variety_stabilizer(rep: RepData, style: str) -> GroupActionData:
     # (n - j) (vector j+1) (see gl2), so row r of e x 1 - 1 x f holds
     # -(n2 - k + 1) at (i, k-1) and i + 1 at (i+1, k), and row r of
     # f x 1 - 1 x e holds n1 - i + 1 at (i-1, k) and -(k + 1) at (i, k+1):
-    # at most two nonzeros, in increasing columns, so no merge is needed.
+    # at most two nonzeros, none of them zero, in increasing columns: the
+    # rows are in stored form as written, so no merge or check is needed.
     d2 = n2 + 1
     cells = [(r, *divmod(r, d2)) for r in range((n1 + 1) * d2)]
-    e_f = [[(r - 1, k - d2)] * (k > 0) + [(r + d2, i + 1)] * (i < n1) for r, i, k in cells]
-    f_e = [[(r - d2, n1 - i + 1)] * (i > 0) + [(r + 1, -k - 1)] * (k < n2) for r, i, k in cells]
+    e_f = tuple([tuple([(r - 1, frac(k - d2))] * (k > 0) + [(r + d2, frac(i + 1))] * (i < n1)) for r, i, k in cells])
+    f_e = tuple([tuple([(r - d2, frac(n1 - i + 1))] * (i > 0) + [(r + 1, frac(-k - 1))] * (k < n2)) for r, i, k in cells])
     # the torus pairs h11 - h21 and h12 - h22 are diagonal, with the
-    # differences of the two factors' weights as eigenvalues
-    torus = [[[(r, w[a] - w[a + 2])] for r, w in enumerate(rep.weights)] for a in (0, 1)]
-    constraints = tuple(Mat.from_sparse_rows(rows, rep.dim) for rows in (e_f, f_e, *torus))
-    return GroupActionData(rep.dim, constraints)
+    # differences of the two factors' weights as eigenvalues; a zero
+    # eigenvalue leaves its row empty
+    torus = [
+        tuple([((r, frac(w[a] - w[a + 2])),) if w[a] != w[a + 2] else () for r, w in enumerate(rep.weights)])
+        for a in (0, 1)
+    ]
+    return GroupActionData(rep.dim, tuple([_mat(rep.dim, rep.dim, rows) for rows in (e_f, f_e, *torus)]))
 
 
 def custom_variety(

@@ -16,12 +16,12 @@ END_TO_END = [
 ]
 
 
-def _stdout(ops_per_s: float, rss: float, failed: int = 0) -> str:
+def _stdout(ops_per_s: float, rss: float, failed: int = 0, attempted: int = 100) -> str:
     """What bench/run.py prints: a details line, then the result line."""
     details = json.dumps({"workload": "large-cells", "seed": 1})
     result = {
         "correct": failed == 0,
-        "attempted": 100,
+        "attempted": attempted,
         "failed": failed,
         "metrics": {"ops_per_s": {"value": ops_per_s, "unit": "1/s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}},
     }
@@ -57,7 +57,7 @@ def test_summary_counts_wins_ties_and_spreads():
     # lower is better: 26.0 -> 27.0 loses, 26.0 -> 25.0 wins
     assert (rss["change_wins"], rss["ties"]) == (1, 2)
     assert rss["relative_change"] == pytest.approx(0.5 / 26.0) and rss["within_bound"] and not rss["gain_holds"]
-    assert summary["base"] == {"attempted": 500, "failed": 0} and summary["all_correct"]
+    assert summary["base"] == {"attempted": 500, "failed": 0, "attempted_runs": [100] * 5} and summary["all_correct"]
 
 
 def test_gain_needs_nine_tenths_and_a_gap_past_the_base_spread():
@@ -74,5 +74,15 @@ def test_gain_needs_nine_tenths_and_a_gap_past_the_base_spread():
 
 def test_failed_ops_are_summed_per_side():
     summary = bench_pairs.summarize(_pairs([(400.0, 26.0)] * 2, [(500.0, 26.0, 3), (500.0, 26.0)]), END_TO_END)
-    assert summary["change"] == {"attempted": 200, "failed": 3} and not summary["all_correct"]
+    assert summary["change"] == {"attempted": 200, "failed": 3, "attempted_runs": [100, 100]} and not summary["all_correct"]
     assert summary["metrics"]["ops_per_s"]["base"]["q1"] == 400.0
+
+
+def test_each_runs_attempted_count_is_kept_in_pair_order():
+    base = [(400.0, 26.0, 0, 1200), (410.0, 26.5, 0, 1230)]
+    change = [(520.0, 27.0, 0, 1560), (530.0, 27.5, 1, 1590)]
+    summary = bench_pairs.summarize(_pairs(base, change), END_TO_END)
+    assert summary["base"]["attempted_runs"] == [1200, 1230]
+    assert summary["change"] == {"attempted": 3150, "failed": 1, "attempted_runs": [1560, 1590]}
+    # the runs of a metric line up with the attempted counts of the same side
+    assert summary["metrics"]["peak_rss_mb"]["change"]["runs"] == [27.0, 27.5]

@@ -355,3 +355,19 @@ def test_hom_dim_bounds_a_labeled_rep_against_a_zero_dimensional_side(tmp_path, 
     path.write_text(json.dumps({"a": at_bound, "b": empty}))
     code, out, _ = _run(capsys, ["hom-dim", str(path)])
     assert code == 0 and out.strip() == "0"
+
+
+def test_negative_dimensions_are_input_errors(tmp_path, capsys):
+    cases = [
+        (["gr"], {"dim": -1, "steps": []}, "$.dim"),
+        (["rees"], {"dim": -1, "steps": []}, "$.dim"),
+        (["derees"], {"ambient_dim": -2, "generators": []}, "$.ambient_dim"),
+        (["hom-dim"], {"a": {**_plain_object(1), "rep": {"dim": -1, "weights": [], "ops": []}}, "b": _plain_object(1)}, "$.a.rep.dim"),
+        (["hom-dim"], {"a": _plain_object(1), "b": {**_plain_object(1), "h_action": {"dim": -1}}}, "$.b.h_action.dim"),
+    ]
+    for command, payload, path in cases:
+        file = tmp_path / "payload.json"
+        file.write_text(json.dumps(payload))
+        code, out, err = _run(capsys, [*command, str(file)])
+        assert code == 2 and out == ""
+        assert f"{path}: dimension -" in err and "is negative" in err

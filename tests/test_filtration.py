@@ -149,3 +149,10 @@ def test_direct_construction_must_be_normalized():
     for steps in bad:
         with pytest.raises(ValueError):
             FilteredSpace(2, steps)
+
+
+def test_negative_dimension_is_rejected():
+    for build in (lambda: make_filtered(-1, {}), lambda: FilteredSpace(-1, ())):
+        with pytest.raises(ValueError, match="^dimension -1 is negative$"):
+            build()
+    assert make_filtered(0, {}) == FilteredSpace(0, ())

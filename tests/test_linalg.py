@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from multifilt import linalg
+from multifilt.gl2 import GroupActionData, RepData
 from multifilt.linalg import (
     AmbientMismatch,
     Mat,
@@ -185,3 +186,22 @@ def test_dense_subspace_basis_rejects_floats_as_frac_does():
             Subspace(2, basis)
     # ints, strings and Fractions are still read exactly
     assert Subspace(2, [[1, "1/3"]]) == Subspace(2, [[Fraction(1), Fraction(1, 3)]]) == Subspace.span(2, [[3, 1]])
+
+
+def test_negative_dimensions_are_rejected():
+    for build in (
+        lambda: Subspace(-1, []),
+        lambda: Subspace.from_sparse_rows(-1, []),
+        lambda: Subspace.span(-1, []),
+        lambda: Subspace.zero(-2),
+        lambda: Subspace.full(-1),
+        lambda: GroupActionData(-1, ()),
+        lambda: RepData(-1, (), ()),
+    ):
+        with pytest.raises(ValueError, match="^dimension -[12] is negative$"):
+            build()
+    with pytest.raises(ValueError, match="negative matrix shape"):
+        Mat.from_rows([], cols=-1)
+    # dimension 0 is a space, with one subspace
+    assert Subspace(0, []) == Subspace.span(0, []) == Subspace.zero(0) == Subspace.full(0)
+    assert Mat.from_rows([], cols=0) == Mat.zero(0, 0)

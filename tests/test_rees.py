@@ -58,3 +58,10 @@ def test_round_trip_random():
         assert len(module.generators) == fs.dim
         assert derees(module) == fs
         assert fiber_at_zero(module) == associated_graded(fs)
+
+
+def test_negative_dimension_is_rejected():
+    for build in (lambda: GradedFreeModule(-2, ()), lambda: GradedFreeModule.of(-2, [])):
+        with pytest.raises(ValueError, match="^dimension -2 is negative$"):
+            build()
+    assert derees(GradedFreeModule(0, ())) == make_filtered(0, {})

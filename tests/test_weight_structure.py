@@ -39,6 +39,7 @@ from reference_paths import (
     reference_matrix_variety_stabilizer,
     reference_per_jump_hom_system,
 )
+from test_stored_form import _assert_echelon_steps, _assert_stored_form
 
 
 def _diag(*entries):
@@ -219,6 +220,45 @@ def test_forms_stabilizer_matches_operator_reference():
     # the variety reads the same constraints off the label
     rep = rep_from_label("GL2", (6, -3))
     assert spec.stabilizer_action(rep).intertwiner_constraints == reference_binary_forms_stabilizer(6, -3)
+
+
+def _random_product_labels(rng, count):
+    """GL2 x GL2 labels with n <= 12 and |m| <= 400; every other one has
+    equal factors, whose torus constraints have zero eigenvalues."""
+    for k in range(count):
+        left = (rng.randint(0, 12), rng.randint(-400, 400))
+        yield (left, left) if k % 2 else (left, (rng.randint(0, 12), rng.randint(-400, 400)))
+
+
+def test_stored_form_builders_match_references_on_random_labels():
+    """The constraints and flags written in stored form equal the ones the
+    reference paths compute from operators and by elimination, and are in
+    stored form, on labels past the paper grids and the shared table."""
+    rng = random.Random(20260)
+    matrices, forms = builtin_variety(TWO_BY_TWO_MATRICES), builtin_variety(BINARY_QUADRATIC_FORMS)
+    zero_rows = 0
+    for label in _random_product_labels(rng, 24):
+        rep = rep_from_label("GL2xGL2", label)
+        expected = reference_matrix_variety_stabilizer(rep)
+        for style in H_STYLES:
+            got = matrices.stabilizer_action(rep, style).intertwiner_constraints
+            assert got == expected, label
+            for m in got:
+                _assert_stored_form(m)
+        zero_rows += got[2].sparse_rows.count(())
+        _assert_filtration_matches(rep, matrices.boundary_cocharacters[0])
+        _assert_echelon_steps(rep, matrices)
+    for _ in range(24):
+        n, m = rng.randint(0, 40), rng.randint(-400, 400)
+        got = stabilizer_action_binary_forms(n, m).intertwiner_constraints
+        assert got == reference_binary_forms_stabilizer(n, m), (n, m)
+        assert stabilizer_action_binary_forms(n, m, H_STYLE_LIE_ONLY).intertwiner_constraints == got[:1]
+        for c in got:
+            _assert_stored_form(c)
+        rep = rep_from_label("GL2", (n, m))
+        _assert_filtration_matches(rep, forms.boundary_cocharacters[0])
+        _assert_echelon_steps(rep, forms)
+    assert zero_rows
 
 
 def _assert_conditions_once_match_per_jump(a, b):

@@ -16,10 +16,11 @@ an interrupted run needs no clean-up beyond its temporary directory.
 Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
 --trace 0`` once per side and per workload of BENCHMARK.json, with T its
 ``run_seconds``; which side goes first alternates from pair to pair.  The
-output file holds, per workload and end-to-end metric of BENCHMARK.json, each
-side's runs, median and quartiles, the pairs the working tree won and tied,
-the relative change of the medians, and whether that change stays within the
-metric's bound.
+output file holds, per workload and side, the ops attempted and failed (in
+total, and attempted per run), and per end-to-end metric of BENCHMARK.json,
+each side's runs, median and quartiles, the pairs the working tree won and
+tied, the relative change of the medians, and whether that change stays
+within the metric's bound.
 """
 
 from __future__ import annotations
@@ -63,16 +64,19 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     """Per-side spreads and pair outcomes of one workload.
 
     ``pairs`` holds (base result, change result) per pair, as parse_result
-    returns them; ``end_to_end`` is BENCHMARK.json's metric list.  A pair is
+    returns them; ``end_to_end`` is BENCHMARK.json's metric list.  Each
+    side's ``attempted_runs`` lists the ops attempted in each of its runs, in
+    pair order, as the metrics' ``runs`` do, so that a figure that grows with
+    the run's length (peak memory) can be read against its pass count.  A pair is
     a win when the change's value is better in the metric's direction and a
     tie when the two are equal.  The gain rule is the benchmark's: at least
     nine tenths of the pairs won, and medians further apart than the base's
     interquartile range.
     """
-    out: dict = {
-        side: {"attempted": sum(p[k]["attempted"] for p in pairs), "failed": sum(p[k]["failed"] for p in pairs)}
-        for k, side in enumerate(SIDES)
-    }
+    out: dict = {}
+    for k, side in enumerate(SIDES):
+        attempted = [p[k]["attempted"] for p in pairs]
+        out[side] = {"attempted": sum(attempted), "failed": sum(p[k]["failed"] for p in pairs), "attempted_runs": attempted}
     out["all_correct"] = all(r["correct"] for p in pairs for r in p)
     out["metrics"] = {}
     for metric in end_to_end:
