@@ -25,7 +25,10 @@ already send the rest of F_a(p) into F_b(p).
 The multiplicity of a representation in the coordinate ring of one of the
 built-in examples is the Hom dimension from the object carrying its
 cocharacter filtrations and stabilizer constraints to the analogous object
-of the trivial representation.
+of the trivial representation.  That target is the same for every cell, so
+it is built once per example and constraint style, on the first call, and
+kept on the spec; builtin_variety returns one shared spec per name, so
+every caller shares it.
 """
 
 from __future__ import annotations
@@ -208,8 +211,11 @@ def filt_object(rep: RepData, spec: VarietySpec, style: str = H_STYLE_LIE_PLUS_E
 def multiplicity(rep: RepData, spec: VarietySpec, style: str = H_STYLE_LIE_PLUS_ELEMENTS) -> int:
     """Multiplicity of rep in the coordinate ring of the example, computed
     as the Hom dimension to the trivial object."""
-    triv = spec.trivial_rep()
-    return hom_dim(filt_object(rep, spec, style), filt_object(triv, spec, style))
+    a = filt_object(rep, spec, style)  # rejects an unknown style before the lookup below
+    triv = spec._trivial.get(style)
+    if triv is None:  # nothing is kept when building it fails
+        triv = spec._trivial[style] = filt_object(spec.trivial_rep(), spec, style)
+    return hom_dim(a, triv)
 
 
 def multiplicity_table(

@@ -40,6 +40,7 @@ Conventions pinned by the built-ins (printed by the CLI as well):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .filtration import FilteredSpace
@@ -47,6 +48,7 @@ from .gl2 import (
     GROUP_FACTORS,
     GroupActionData,
     H_STYLE_LIE_PLUS_ELEMENTS,
+    H_STYLES,
     RepData,
     Weight,
     external_rep,
@@ -86,7 +88,12 @@ def cocharacter_filtration(rep: RepData, mu: Cocharacter) -> FilteredSpace:
     no echelon check.
     """
     dim = rep.dim
-    values = [-pairing(mu, chi) for chi in rep.weights]
+    # RepData does not check that its weights share one length, so one
+    # comparison over all of them stands in for pairing's check per weight
+    if any(len(chi) != len(mu) for chi in rep.weights):
+        pairing(mu, next(chi for chi in rep.weights if len(chi) != len(mu)))  # raises
+    neg = tuple([-a for a in mu])
+    values = [sum(map(mul, neg, chi)) for chi in rep.weights]
     units = Mat.identity(dim).sparse_rows
     steps = tuple([(v, _subspace(dim, tuple([units[b] for b in range(dim) if values[b] >= v]))) for v in sorted(set(values))])
     return FilteredSpace(dim, steps)
@@ -101,6 +108,10 @@ class VarietySpec:
     ``stabilizer`` recipe produces equivariance constraints for any
     representation over the group; ``boundary_cocharacters`` may be empty,
     in which case objects degenerate to plain representations.
+
+    The trivial representation, and its object in each constraint style
+    (see homspaces.multiplicity), are the same for every cell, so each is
+    built on first use and kept on the instance.
     """
 
     name: str
@@ -109,6 +120,9 @@ class VarietySpec:
     boundary_cocharacters: tuple[Cocharacter, ...]
     x_module_weights: tuple[Weight, ...]
     stabilizer: StabilizerRecipe = field(compare=False)
+    # the trivial rep under None and its objects under their styles; kept per
+    # instance, never per equal spec: == ignores the stabilizer recipe
+    _trivial: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         factors = GROUP_FACTORS.get(self.group)
@@ -122,13 +136,20 @@ class VarietySpec:
                 raise ValueError("module weight length does not match the torus rank")
 
     def stabilizer_action(self, rep: RepData, style: str = H_STYLE_LIE_PLUS_ELEMENTS) -> GroupActionData:
+        if style not in H_STYLES:
+            raise ValueError(f"unknown constraint style {style!r}")
         return self.stabilizer(rep, style)
 
     def trivial_rep(self) -> RepData:
-        factors = GROUP_FACTORS.get(self.group)
-        if factors is None:
-            return RepData(1, ((0,) * self.rank,), (), label="trivial")
-        return irrep_gl2(0, 0) if factors == 1 else external_rep((0, 0), (0, 0))
+        rep = self._trivial.get(None)
+        if rep is None:
+            factors = GROUP_FACTORS.get(self.group)
+            if factors is None:
+                rep = RepData(1, ((0,) * self.rank,), (), label="trivial")
+            else:
+                rep = irrep_gl2(0, 0) if factors == 1 else external_rep((0, 0), (0, 0))
+            self._trivial[None] = rep
+        return rep
 
 
 def _binary_forms_stabilizer(rep: RepData, style: str) -> GroupActionData:
@@ -207,24 +228,29 @@ def label_key(label: object) -> str:
     return ";".join(f"{n},{m}" for n, m in label_factors(label))
 
 
+_BUILTINS = {
+    BINARY_QUADRATIC_FORMS: VarietySpec(
+        name=BINARY_QUADRATIC_FORMS,
+        group="GL2",
+        rank=2,
+        boundary_cocharacters=((1, 0),),
+        x_module_weights=((-2, 0), (-1, -1), (0, -2)),
+        stabilizer=_binary_forms_stabilizer,
+    ),
+    TWO_BY_TWO_MATRICES: VarietySpec(
+        name=TWO_BY_TWO_MATRICES,
+        group="GL2xGL2",
+        rank=4,
+        boundary_cocharacters=((1, 1, 0, -1),),
+        x_module_weights=((-1, 0, -1, 0), (-1, 0, 0, -1), (0, -1, -1, 0), (0, -1, 0, -1)),
+        stabilizer=_matrix_variety_stabilizer,
+    ),
+}
+
+
 def builtin_variety(name: str) -> VarietySpec:
-    """The two worked examples, fully populated."""
-    if name == BINARY_QUADRATIC_FORMS:
-        return VarietySpec(
-            name=name,
-            group="GL2",
-            rank=2,
-            boundary_cocharacters=((1, 0),),
-            x_module_weights=((-2, 0), (-1, -1), (0, -2)),
-            stabilizer=_binary_forms_stabilizer,
-        )
-    if name == TWO_BY_TWO_MATRICES:
-        return VarietySpec(
-            name=name,
-            group="GL2xGL2",
-            rank=4,
-            boundary_cocharacters=((1, 1, 0, -1),),
-            x_module_weights=((-1, 0, -1, 0), (-1, 0, 0, -1), (0, -1, -1, 0), (0, -1, 0, -1)),
-            stabilizer=_matrix_variety_stabilizer,
-        )
-    raise ValueError(f"unknown variety {name!r}")
+    """The two worked examples, fully populated: one shared instance per
+    name, so every caller shares what it keeps (see VarietySpec)."""
+    if not isinstance(name, str) or name not in _BUILTINS:
+        raise ValueError(f"unknown variety {name!r}")
+    return _BUILTINS[name]

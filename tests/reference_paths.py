@@ -13,8 +13,9 @@ binary-forms stabilizer built from the representation's operators and a
 symmetric power of its reflection, symmetric-power characters by
 convolving binomial generating functions, the weight-pruned Hom
 system that emits the filtration conditions at every jump for every
-echelon row of the source step, and the external product with its
-Kronecker-product operators built up front.
+echelon row of the source step, the external product with its
+Kronecker-product operators built up front, and the multiplicity that
+builds a fresh trivial object for every call.
 They live only here, so that tests can compare the library against them on
 many inputs.
 """
@@ -29,10 +30,10 @@ from typing import Iterable, Mapping, Sequence
 
 from multifilt.characters import WeightMultiset
 from multifilt.filtration import FilteredSpace, make_filtered
-from multifilt.gl2 import Gl2Label, RepData, Weight, irrep_gl2
-from multifilt.homspaces import FiltObject
+from multifilt.gl2 import GROUP_FACTORS, H_STYLE_LIE_PLUS_ELEMENTS, Gl2Label, RepData, Weight, external_rep, irrep_gl2
+from multifilt.homspaces import FiltObject, filt_object, hom_dim
 from multifilt.linalg import AmbientMismatch, Mat, Subspace, kernel, kron, rank, vector
-from multifilt.varieties import Cocharacter, pairing
+from multifilt.varieties import Cocharacter, VarietySpec, pairing
 
 
 def full_hom_system(a: FiltObject, b: FiltObject) -> Mat:
@@ -357,3 +358,16 @@ def reference_sym_power_weights(w: Mapping[Weight, int], d: int) -> WeightMultis
                     nxt[k][key] = nxt[k].get(key, 0) + mult * count
         layers = nxt
     return layers[d]
+
+
+def reference_trivial_rep(spec: VarietySpec) -> RepData:
+    """The trivial representation of the example's group, built afresh."""
+    factors = GROUP_FACTORS.get(spec.group)
+    if factors is None:
+        return RepData(1, ((0,) * spec.rank,), (), label="trivial")
+    return irrep_gl2(0, 0) if factors == 1 else external_rep((0, 0), (0, 0))
+
+
+def reference_multiplicity(rep: RepData, spec: VarietySpec, style: str = H_STYLE_LIE_PLUS_ELEMENTS) -> int:
+    """The Hom dimension to a trivial object built afresh for this call."""
+    return hom_dim(filt_object(rep, spec, style), filt_object(reference_trivial_rep(spec), spec, style))

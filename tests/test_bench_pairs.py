@@ -86,3 +86,25 @@ def test_each_runs_attempted_count_is_kept_in_pair_order():
     assert summary["change"] == {"attempted": 3150, "failed": 1, "attempted_runs": [1560, 1590]}
     # the runs of a metric line up with the attempted counts of the same side
     assert summary["metrics"]["peak_rss_mb"]["change"]["runs"] == [27.0, 27.5]
+
+
+def test_peak_rss_is_fitted_against_attempted_over_both_sides():
+    # every run on rss = 20 + 0.25 MB per 1000 ops, whichever side made it
+    base = [(400.0, 20.0 + 0.25 * ops / 1000, 0, ops) for ops in (4000, 6000)]
+    change = [(500.0, 20.0 + 0.25 * ops / 1000, 0, ops) for ops in (8000, 12000)]
+    fit = bench_pairs.summarize(_pairs(base, change), END_TO_END)["peak_rss_fit"]
+    assert fit["mb_per_1000_ops"] == pytest.approx(0.25)
+    assert fit["intercept_mb"] == pytest.approx(20.0)
+    assert fit["r"] == pytest.approx(1.0)
+    # a run off the line lowers the correlation, not the sign of the slope
+    scattered = bench_pairs.summarize(_pairs(base, [(500.0, 22.0, 0, 8000), (500.0, 23.5, 0, 12000)]), END_TO_END)["peak_rss_fit"]
+    assert scattered["mb_per_1000_ops"] > 0 and 0 < scattered["r"] < 1
+
+
+def test_peak_rss_fit_needs_two_attempted_counts():
+    # one attempted count across every run: no line to fit
+    same = bench_pairs.summarize(_pairs([(400.0, 26.0)] * 2, [(500.0, 27.0)] * 2), END_TO_END)
+    assert same["peak_rss_fit"] is None
+    # memory that never moves has a flat line and no correlation
+    flat = bench_pairs.summarize(_pairs([(400.0, 26.0, 0, 100)], [(500.0, 26.0, 0, 150)]), END_TO_END)["peak_rss_fit"]
+    assert flat == {"mb_per_1000_ops": 0.0, "intercept_mb": 26.0, "r": None}

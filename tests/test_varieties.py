@@ -1,13 +1,18 @@
+import random
+
 import pytest
+from reference_paths import reference_multiplicity
 
 from multifilt.filtration import associated_graded
-from multifilt.gl2 import RepData, irrep_gl2, rep_from_label
-from multifilt.homspaces import FiltObject, hom_dim, multiplicity
+from multifilt.gl2 import H_STYLES, RepData, irrep_gl2, rep_from_label
+from multifilt.homspaces import FiltObject, filt_object, grid_labels, hom_dim, multiplicity
+from multifilt.linalg import Mat
 from multifilt.varieties import (
     BINARY_QUADRATIC_FORMS,
     TWO_BY_TWO_MATRICES,
     builtin_variety,
     cocharacter_filtration,
+    VarietySpec,
     custom_variety,
     pairing,
 )
@@ -19,6 +24,20 @@ def test_pairing():
     assert pairing((1, 1, 0, -1), (2, 3, 9, 4)) == 2 + 3 - 4
     with pytest.raises(ValueError):
         pairing((1, 0), (1, 2, 3))
+
+
+def test_filtration_checks_every_weight_length_like_pairing():
+    # RepData lets weights differ in length; a wrong one anywhere, the last
+    # included, raises pairing's own error
+    weights = ((1, 0), (0, 1), (2, 0, 0))
+    rep = RepData(3, weights, ())
+    with pytest.raises(ValueError) as got:
+        cocharacter_filtration(rep, (1, 0))
+    with pytest.raises(ValueError) as expected:
+        pairing((1, 0), weights[-1])
+    assert str(got.value) == str(expected.value) == "cocharacter length 2 does not match weight length 3"
+    with pytest.raises(ValueError, match="weight length 1"):
+        cocharacter_filtration(RepData(2, ((1,), (1, 0)), ()), (1, 0))
 
 
 def test_builtin_specs():
@@ -84,8 +103,6 @@ def test_custom_empty_index_set():
 
 
 def test_custom_stabilizer_table():
-    from multifilt.linalg import Mat
-
     table = {
         "2,0": [Mat.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 2]])],
         "trivial": [Mat.zero(1, 1)],
@@ -102,6 +119,91 @@ def test_custom_stabilizer_table():
     missing = irrep_gl2(1, 0)
     with pytest.raises(ValueError):
         spec.stabilizer_action(missing)
+
+
+def _two_line_table(trivial_eigenvalue: int) -> dict:
+    return {"2,0": [Mat.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 2]])], "trivial": [Mat.from_rows([[trivial_eigenvalue]])]}
+
+
+def test_unknown_style_is_rejected_by_every_recipe():
+    custom = custom_variety(2, [[1, 0]], [[-1, 0]], _two_line_table(0))
+    cases = [
+        (builtin_variety(BINARY_QUADRATIC_FORMS), irrep_gl2(2, 0)),
+        (builtin_variety(TWO_BY_TWO_MATRICES), rep_from_label("GL2xGL2", ((1, 0), (1, 0)))),
+        (custom, irrep_gl2(2, 0)),
+    ]
+    for spec, rep in cases:
+        for style in ("bogus", None, ""):
+            with pytest.raises(ValueError, match="unknown constraint style"):
+                spec.stabilizer_action(rep, style)
+            with pytest.raises(ValueError, match="unknown constraint style"):
+                multiplicity(rep, spec, style)
+        # a rejected style keeps nothing
+        assert not set(spec._trivial) - {None, *H_STYLES}
+        assert [multiplicity(rep, spec, style) for style in H_STYLES] == [1, 1]
+
+
+def test_builtin_variety_returns_one_instance_per_name():
+    for name in (BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES):
+        assert builtin_variety(name) is builtin_variety(name)
+    assert builtin_variety(BINARY_QUADRATIC_FORMS) is not builtin_variety(TWO_BY_TWO_MATRICES)
+    with pytest.raises(ValueError):
+        builtin_variety(["TwoByTwoMatrices"])
+
+
+def test_kept_trivial_object_equals_a_fresh_one_and_is_reused():
+    cells = {BINARY_QUADRATIC_FORMS: [(2, 0), (3, 1), (0, 0)], TWO_BY_TWO_MATRICES: [((1, 0), (1, 0)), ((2, 1), (0, 0))]}
+    for name, labels in cells.items():
+        spec = builtin_variety(name)
+        assert spec.trivial_rep() is spec.trivial_rep()
+        for style in H_STYLES:
+            kept = []
+            for label in labels:
+                multiplicity(rep_from_label(spec.group, label), spec, style)
+                kept.append(spec._trivial[style])
+            assert all(obj is kept[0] for obj in kept)
+            assert kept[0] == filt_object(spec.trivial_rep(), spec, style)
+            assert kept[0].rep is spec.trivial_rep()
+        # the kept objects stay out of ==, hash and repr
+        assert "_trivial" not in repr(spec)
+        fresh = VarietySpec(spec.name, spec.group, spec.rank, spec.boundary_cocharacters, spec.x_module_weights, spec.stabilizer)
+        assert fresh == spec and hash(fresh) == hash(spec) and fresh._trivial == {}
+
+
+def test_kept_target_matches_a_fresh_one_on_paper_large_and_random_cells():
+    forms, matrices = builtin_variety(BINARY_QUADRATIC_FORMS), builtin_variety(TWO_BY_TWO_MATRICES)
+    rng = random.Random(67)
+    cells = [(forms, label) for label in grid_labels("GL2", range(0, 9), range(-6, 7))]
+    cells += [(matrices, label) for label in grid_labels("GL2xGL2", range(0, 5), range(-2, 4))]
+    cells += [(matrices, ((n, 1), (n, 1))) for n in (4, 8, 12)]
+    cells += [(forms, (rng.randint(0, 24), rng.randint(-8, 8))) for _ in range(20)]
+    cells += [(matrices, tuple((rng.randint(0, 6), rng.randint(-3, 3)) for _ in "ab")) for _ in range(20)]
+    for style in H_STYLES:
+        for spec, label in cells:
+            rep = rep_from_label(spec.group, label)
+            assert multiplicity(rep, spec, style) == reference_multiplicity(rep, spec, style), (spec.name, label, style)
+
+
+def test_equal_custom_specs_keep_their_own_trivial_objects():
+    # == ignores the stabilizer table, so a target shared by equal specs
+    # would give one of them the other's trivial constraints
+    rep = irrep_gl2(2, 0)
+    zero = custom_variety(2, [[1, 0]], [[-1, 0]], _two_line_table(0))
+    five = custom_variety(2, [[1, 0]], [[-1, 0]], _two_line_table(5))
+    assert zero == five and hash(zero) == hash(five)
+    for _ in range(2):
+        assert (multiplicity(rep, zero), multiplicity(rep, five)) == (1, 0)
+        assert (reference_multiplicity(rep, zero), reference_multiplicity(rep, five)) == (1, 0)
+    assert zero._trivial is not five._trivial
+
+
+def test_missing_trivial_constraints_raise_on_every_call():
+    table = {"2,0": _two_line_table(0)["2,0"]}
+    spec = custom_variety(2, [[1, 0]], [[-1, 0]], table)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="no stabilizer constraints given for label 'trivial'"):
+            multiplicity(irrep_gl2(2, 0), spec)
+        assert not set(spec._trivial) & set(H_STYLES)
 
 
 def test_reimport_releases_the_previous_copy():

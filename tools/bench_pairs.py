@@ -20,7 +20,10 @@ output file holds, per workload and side, the ops attempted and failed (in
 total, and attempted per run), and per end-to-end metric of BENCHMARK.json,
 each side's runs, median and quartiles, the pairs the working tree won and
 tied, the relative change of the medians, and whether that change stays
-within the metric's bound.
+within the metric's bound.  It also holds, per workload, the straight line
+``peak_rss_mb = a + b * attempted`` fitted over all runs of both sides, so
+that the share of a memory change that comes from pass count alone can be
+read off the data.
 """
 
 from __future__ import annotations
@@ -60,6 +63,21 @@ def _spread(values: list[float]) -> dict:
     return {"runs": values, "median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def fit_rss(pairs: list[tuple[dict, dict]]) -> dict | None:
+    """Least-squares line ``peak_rss_mb = a + b * attempted`` over every run
+    of both sides: b in MB per 1000 ops, a in MB, and the correlation r.
+    None when the runs attempted fewer than two distinct counts; r is None
+    when every run read the same memory."""
+    runs = [r for p in pairs for r in p]
+    ops = [r["attempted"] for r in runs]
+    rss = [r["metrics"]["peak_rss_mb"]["value"] for r in runs]
+    if len(set(ops)) < 2:
+        return None
+    slope, intercept = statistics.linear_regression(ops, rss)
+    r = statistics.correlation(ops, rss) if len(set(rss)) > 1 else None
+    return {"mb_per_1000_ops": slope * 1000, "intercept_mb": intercept, "r": r}
+
+
 def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     """Per-side spreads and pair outcomes of one workload.
 
@@ -71,13 +89,14 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     a win when the change's value is better in the metric's direction and a
     tie when the two are equal.  The gain rule is the benchmark's: at least
     nine tenths of the pairs won, and medians further apart than the base's
-    interquartile range.
+    interquartile range.  ``peak_rss_fit`` is fit_rss over the same runs.
     """
     out: dict = {}
     for k, side in enumerate(SIDES):
         attempted = [p[k]["attempted"] for p in pairs]
         out[side] = {"attempted": sum(attempted), "failed": sum(p[k]["failed"] for p in pairs), "attempted_runs": attempted}
     out["all_correct"] = all(r["correct"] for p in pairs for r in p)
+    out["peak_rss_fit"] = fit_rss(pairs)
     out["metrics"] = {}
     for metric in end_to_end:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
