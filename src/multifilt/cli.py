@@ -78,9 +78,9 @@ MAX_ORACLE_DEGREE = 80
 
 # Largest number of cells a multiplicity or oracle grid may have, checked
 # from the range lengths before any label is made.  Measured on the same
-# host: the 10000-cell matrix grid n=0..9,m=-4..5 takes 27 s (27 MB peak
-# RSS) in multiplicity and 0.4 s in oracle; the paper's grid has 900 cells
-# (1.2 s in multiplicity).
+# host: the 10000-cell matrix grid n=0..9,m=-4..5 takes 7.5-9 s (24 MB peak
+# RSS) in multiplicity and 0.3-0.4 s in oracle; the paper's grid has 900
+# cells (0.55 s in multiplicity).
 MAX_GRID_CELLS = 10_000
 
 # Largest number of Hom variables, a.dim x b.dim, that hom-dim accepts,

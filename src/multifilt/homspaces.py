@@ -29,6 +29,17 @@ of the trivial representation.  That target is the same for every cell, so
 it is built once per example and constraint style, on the first call, and
 kept on the spec; builtin_variety returns one shared spec per name, so
 every caller shares it.
+
+The target is one-dimensional, so a morphism is a row vector f and the
+multiplicity is the dimension of a left kernel, solved without the general
+system.  Each target constraint is a scalar lambda, and f K = lambda f
+reads f (K - lambda) = 0.  A constraint diagonal on the source leaves the
+coordinate f_c free only where K[c, c] = lambda.  The target flag is the
+whole line up to its top jump p0 and zero above it, so f must vanish on
+the source step F(p0 + 1); that step is a coordinate flag, so this only
+drops its coordinates.  The other constraints give one equation per
+column j of f (K - lambda) over the coordinates left, grouped by
+constraint, and one rank finishes the cell.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from typing import Iterable, Sequence
 
 from .filtration import FilteredSpace
 from .gl2 import GROUP_FACTORS, GroupActionData, H_STYLE_LIE_PLUS_ELEMENTS, RepData, label_from_factors, rep_from_label
-from .linalg import Mat, SparseRow, kernel, rank
+from .linalg import Mat, SparseRow, _mat, kernel, rank
 from .varieties import VarietySpec, cocharacter_filtration
 
 
@@ -119,12 +130,12 @@ def _hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, list[int]]:
     free = [(r, c) for r in range(db) for c in cols_by_eigen.get(tuple(eb[r] for _, eb in diagonal), ())]
     var = {rc: k for k, rc in enumerate(free)}
 
-    rows: list[list[tuple[int, Fraction]]] = []
+    rows: list[SparseRow] = []
 
     def emit(coeffs: dict[int, Fraction]) -> None:
         row = sorted((k, x) for k, x in coeffs.items() if x)
         if row:
-            rows.append(row)
+            rows.append(tuple(row))
 
     for ka, kb in general:
         # f ka = kb f, one equation per output entry: variable f[r, c] enters
@@ -160,18 +171,17 @@ def _hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, list[int]]:
                 for u_nonzero in ann_rows:
                     emit({var[r, c]: ur * vc for r, ur in u_nonzero for c, vc in v_nonzero if (r, c) in var})
 
-    return Mat.from_sparse_rows(rows, len(free)), [r * da + c for r, c in free]
+    # every row is sorted, free of zeros and holds Fractions: stored form
+    return _mat(len(rows), len(free), tuple(rows)), [r * da + c for r, c in free]
 
 
 def hom_dim(a: FiltObject, b: FiltObject) -> int:
     """Dimension of the space of constraint-intertwining filtered maps a -> b.
 
-    Zero-dimensional objects follow the empty-map convention: 1 against
-    themselves, 0 against anything nonzero.
+    A zero-dimensional side leaves only the zero map, so the answer is 0,
+    also for Hom(0, 0), and hom_basis is empty.
     """
     _check_shapes(a, b)
-    if a.rep.dim == 0 and b.rep.dim == 0:
-        return 1
     if a.rep.dim == 0 or b.rep.dim == 0:
         return 0
     system, free = _hom_system(a, b)
@@ -208,14 +218,48 @@ def filt_object(rep: RepData, spec: VarietySpec, style: str = H_STYLE_LIE_PLUS_E
     return FiltObject(rep, spec.stabilizer_action(rep, style), filts)
 
 
+def _left_kernel_dim(a: FiltObject, triv: FiltObject) -> int:
+    """hom_dim(a, triv) for a one-dimensional triv, when a's filtrations are
+    coordinate flags, as cocharacter filtrations are.
+
+    A morphism is a row vector f with f (ka - lambda) = 0 for each pair
+    (ka, [[lambda]]) and f zero on a's step F(p0 + 1) of each filtration,
+    p0 the target's top jump; see the module docstring.
+    """
+    _check_shapes(a, triv)
+    da = a.rep.dim
+    # the rows of a coordinate flag's step are unit vectors
+    steps = [fa.at(fb.steps[-1][0] + 1) for fa, fb in zip(a.filtrations, triv.filtrations)]
+    dropped = {row[0][0] for step in steps for row in step.sparse_rows}
+    kept = [c for c in range(da) if c not in dropped]
+    general: list[Mat] = []
+    for ka, kb in zip(a.h_action.intertwiner_constraints, triv.h_action.intertwiner_constraints):
+        eigen, (lam,) = _diagonal(ka), _diagonal(kb)
+        if eigen is None:
+            general.append(ka - Mat.identity(da).scale(lam) if lam else ka)
+        else:
+            kept = [c for c in kept if eigen[c] == lam]
+
+    # column j of f (ka - lambda): the kept rows' entries in column j, in the
+    # order of kept, so each equation is in stored form as it is appended
+    rows: list[SparseRow] = []
+    for ka in general:
+        equations: dict[int, list[tuple[int, Fraction]]] = defaultdict(list)
+        for k, c in enumerate(kept):
+            for j, x in ka.sparse_rows[c]:
+                equations[j].append((k, x))
+        rows += [tuple(eq) for eq in equations.values()]
+    return len(kept) - rank(_mat(len(rows), len(kept), tuple(rows)))
+
+
 def multiplicity(rep: RepData, spec: VarietySpec, style: str = H_STYLE_LIE_PLUS_ELEMENTS) -> int:
-    """Multiplicity of rep in the coordinate ring of the example, computed
-    as the Hom dimension to the trivial object."""
+    """Multiplicity of rep in the coordinate ring of the example: the Hom
+    dimension to the trivial object, solved as a left kernel."""
     a = filt_object(rep, spec, style)  # rejects an unknown style before the lookup below
     triv = spec._trivial.get(style)
     if triv is None:  # nothing is kept when building it fails
         triv = spec._trivial[style] = filt_object(spec.trivial_rep(), spec, style)
-    return hom_dim(a, triv)
+    return _left_kernel_dim(a, triv)
 
 
 def multiplicity_table(

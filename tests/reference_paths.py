@@ -15,7 +15,8 @@ convolving binomial generating functions, the weight-pruned Hom
 system that emits the filtration conditions at every jump for every
 echelon row of the source step, the external product with its
 Kronecker-product operators built up front, and the multiplicity that
-builds a fresh trivial object for every call.
+builds a fresh trivial object for every call and solves the general Hom
+system to it rather than a left kernel.
 They live only here, so that tests can compare the library against them on
 many inputs.
 """
@@ -127,8 +128,6 @@ def reference_per_jump_hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, li
 
 
 def reference_hom_dim(a: FiltObject, b: FiltObject) -> int:
-    if a.rep.dim == 0 and b.rep.dim == 0:
-        return 1
     if a.rep.dim == 0 or b.rep.dim == 0:
         return 0
     return a.rep.dim * b.rep.dim - rank(full_hom_system(a, b))
@@ -369,5 +368,6 @@ def reference_trivial_rep(spec: VarietySpec) -> RepData:
 
 
 def reference_multiplicity(rep: RepData, spec: VarietySpec, style: str = H_STYLE_LIE_PLUS_ELEMENTS) -> int:
-    """The Hom dimension to a trivial object built afresh for this call."""
+    """The Hom dimension to a trivial object built afresh for this call,
+    through the general Hom system of hom_dim."""
     return hom_dim(filt_object(rep, spec, style), filt_object(reference_trivial_rep(spec), spec, style))

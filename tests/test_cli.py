@@ -350,7 +350,7 @@ def test_hom_dim_bounds_a_labeled_rep_against_a_zero_dimensional_side(tmp_path, 
         assert time.perf_counter() - start < 5
         assert done.returncode == 2 and done.stdout == ""
         assert f"$.{k}.rep: label needs representation dimension 2000001, above the bound {MAX_HOM_VARS}" in done.stderr
-    # a label of exactly the bound is built, and gets the empty-map answer
+    # a label of exactly the bound is built, and gets the zero-map answer
     at_bound = {"rep": {"group": "GL2", "label": [MAX_HOM_VARS - 1, 0]}, "h_action": {"dim": MAX_HOM_VARS, "intertwiner_constraints": []}, "filtrations": []}
     path.write_text(json.dumps({"a": at_bound, "b": empty}))
     code, out, _ = _run(capsys, ["hom-dim", str(path)])

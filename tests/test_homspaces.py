@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
+from reference_paths import reference_multiplicity
 
+from multifilt import homspaces, linalg
 from multifilt.characters import oracle_multiplicity
 from multifilt.filtration import is_filtration_morphism
 from multifilt.gl2 import GroupActionData, RepData, irrep_gl2, rep_from_label
@@ -14,11 +17,13 @@ from multifilt.homspaces import (
     multiplicity,
     multiplicity_table,
 )
+from multifilt.linalg import Mat
 from multifilt.varieties import (
     BINARY_QUADRATIC_FORMS,
     TWO_BY_TWO_MATRICES,
     builtin_variety,
     cocharacter_filtration,
+    custom_variety,
 )
 from multifilt.verify import random_filt_object_pair
 
@@ -52,7 +57,9 @@ def test_binary_forms_hom_dim_example():
 def test_zero_dimensional_conventions():
     zero = FiltObject(RepData(0, (), ()), GroupActionData(0, ()), ())
     one = FiltObject(RepData(1, ((0, 0),), ()), GroupActionData(1, ()), ())
-    assert hom_dim(zero, zero) == 1
+    # the only map 0 -> 0 is the zero map: Hom(0, 0) = 0, as its basis says
+    assert hom_dim(zero, zero) == 0
+    assert len(hom_basis(zero, zero)) == hom_dim(zero, zero)
     assert hom_dim(zero, one) == 0
     assert hom_dim(one, zero) == 0
 
@@ -157,3 +164,102 @@ def test_solver_oracle_and_closed_form_agree_on_wide_grids():
     for spec, label, expected in cells:
         hom = multiplicity(rep_from_label(spec.group, label), spec)
         assert hom == oracle_multiplicity(spec, label) == expected, (spec.name, label)
+
+
+# the swap has no diagonal entry, so f (swap - lambda) needs -lambda inserted
+SWAP = [[0, 1], [1, 0]]
+
+
+def _custom_cell(cocharacters, weights, constraints, lambdas):
+    """A custom example and its rep "src": constraints on the rep, and the
+    trivial rep's scalars lambdas."""
+    table = {"src": [Mat.from_rows(k, len(weights)) for k in constraints], "trivial": [Mat.from_rows([[x]]) for x in lambdas]}
+    return custom_variety(2, cocharacters, [[-1, 0]], table), RepData(len(weights), tuple(weights), (), label="src")
+
+
+def test_left_kernel_on_custom_scalars_flags_and_zero_reps():
+    flat = [(0, 0), (0, 0)]
+    cases = [
+        # f swap = lambda f: f0 = f1 for lambda 1, f0 = -f1 for -1, only 0 otherwise
+        (([], flat, [SWAP], [1]), 1),
+        (([], flat, [SWAP], [-1]), 1),
+        (([], flat, [SWAP], [2]), 0),
+        (([], flat, [SWAP], [0]), 0),
+        (([], flat, [[[0, 1], ["1/4", 0]]], ["1/2"]), 1),
+        # a diagonal constraint keeps f_c only where its entry is lambda
+        (([], flat, [SWAP, [[3, 0], [0, 3]]], [1, 3]), 1),
+        (([], flat, [SWAP, [[3, 0], [0, 5]]], [1, 3]), 0),
+        (([], flat, [[[3, 0], [0, 5]], [[3, 0], [0, 5]]], [5, 5]), 1),
+        # the target flag is the line at levels <= 0: weight-0 coordinates
+        # stay (F(1) is zero), a coordinate at level 1 goes
+        (([[1, 0]], flat, [SWAP], [1]), 1),
+        (([[1, 0]], [(0, 0), (-1, 0)], [SWAP], [1]), 0),
+        (([[1, 0]], [(0, 0), (1, 0)], [SWAP], [1]), 1),
+        # two boundary cocharacters: each prunes its own step
+        (([[1, 0]], [(0, 0), (0, 0), (0, -1)], [[[0, 1, 0], [1, 0, 0], [0, 0, 1]]], [1]), 2),
+        (([[1, 0], [0, 1]], [(0, 0), (0, 0), (0, -1)], [[[0, 1, 0], [1, 0, 0], [0, 0, 1]]], [1]), 1),
+        (([[1, 0], [0, 1]], [(0, 0), (0, -1), (0, 0)], [[[0, 1, 0], [1, 0, 0], [0, 0, 1]]], [1]), 1),
+        # no constraints, no flags: every coordinate is a map to the line
+        (([], [(0, 0)] * 3, [], []), 3),
+        # a zero-dimensional rep has only the zero map
+        (([], [], [[]], [1]), 0),
+        (([[1, 0], [0, 1]], [], [[], []], [0, 2]), 0),
+    ]
+    for args, expected in cases:
+        spec, rep = _custom_cell(*args)
+        assert (multiplicity(rep, spec), reference_multiplicity(rep, spec)) == (expected, expected), args
+
+
+def test_left_kernel_matches_the_general_system_on_random_custom_cells():
+    # K = lambda + A with A zero on the rows of a chosen set S: every e_c,
+    # c in S, is a left eigenvector, so answers above 0 are common
+    rng = random.Random(79)
+    answers = []
+    for _ in range(150):
+        dim = rng.randint(0, 5)
+        weights = [(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(dim)]
+        cocharacters = [[rng.randint(-1, 1), rng.randint(-1, 1)] for _ in range(rng.randint(0, 2))]
+        fixed = {c for c in range(dim) if rng.random() < 0.6}
+        lambdas = [rng.choice((0, 1, -2, Fraction(1, 2))) for _ in range(rng.randint(0, 3))]
+        constraints = []
+        for lam in lambdas:
+            if rng.random() < 0.3:
+                rows = [[(lam if c in fixed else rng.choice((lam, 0, 1))) if j == c else 0 for j in range(dim)] for c in range(dim)]
+            else:
+                rows = [
+                    [(lam if j == c else 0) if c in fixed else rng.choice((0, 0, 1, -1, -lam, lam)) for j in range(dim)]
+                    for c in range(dim)
+                ]
+            constraints.append(rows)
+        spec, rep = _custom_cell(cocharacters, weights, constraints, lambdas)
+        got = multiplicity(rep, spec)
+        assert got == reference_multiplicity(rep, spec), (cocharacters, weights, constraints, lambdas)
+        answers.append(got)
+    assert {0, 1, 2} <= set(answers)
+
+
+def test_left_kernel_keeps_the_shape_error():
+    spec, rep = _custom_cell([], [(0, 0), (0, 0)], [SWAP, SWAP], [1])
+    with pytest.raises(ValueError, match="different numbers of equivariance constraints"):
+        multiplicity(rep, spec)
+    with pytest.raises(ValueError, match="different numbers of equivariance constraints"):
+        reference_multiplicity(rep, spec)
+
+
+def test_multiplicity_makes_one_rank_call_and_no_general_system(monkeypatch):
+    seen = []
+    monkeypatch.setattr(homspaces, "rank", lambda m: seen.append(m) or linalg.rank(m))
+    monkeypatch.setattr(homspaces, "_hom_system", lambda a, b: pytest.fail("multiplicity assembled the general system"))
+    forms, matrices = builtin_variety(BINARY_QUADRATIC_FORMS), builtin_variety(TWO_BY_TWO_MATRICES)
+    cells = [(forms, rep_from_label("GL2", label)) for label in ((0, 0), (2, 0), (3, 1), (12, 2))]
+    # ((1, 0), (1, 1)): the torus leaves no coordinate
+    cells += [(matrices, rep_from_label("GL2xGL2", label)) for label in (((1, 0), (1, 1)), ((1, 0), (1, 0)), ((4, 1), (4, 1)))]
+    cells += [_custom_cell([[1, 0]], [], [[]], [1]), _custom_cell([], [(0, 0)] * 2, [SWAP], [1])]
+    for spec, rep in cells:
+        seen.clear()
+        multiplicity(rep, spec)
+        assert len(seen) == 1, (spec.name, rep.label)
+        assert seen[0].cols <= rep.dim
+    seen.clear()
+    multiplicity(rep_from_label("GL2xGL2", ((1, 0), (1, 1))), matrices)
+    assert (seen[0].rows, seen[0].cols) == (0, 0)

@@ -2,15 +2,17 @@
 the eager construction, and the stored form of the stabilizer constraints
 and cocharacter flags that the Hom solver reads."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from multifilt import gl2, linalg
+from multifilt import gl2, homspaces, linalg
 from multifilt.gl2 import H_STYLES, RepData, external_rep, irrep_gl2, rep_from_label, restrict_to_diagonal
-from multifilt.homspaces import grid_labels
+from multifilt.homspaces import filt_object, grid_labels, multiplicity
 from multifilt.linalg import Mat, Subspace, kron
 from multifilt.varieties import BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES, builtin_variety, cocharacter_filtration
+from multifilt.verify import random_filt_object_pair
 from reference_paths import reference_external_rep
 
 
@@ -65,15 +67,21 @@ def test_operator_shapes_are_checked():
         rep.action_ops[0]
 
 
-def _assert_stored_form(m: Mat) -> None:
-    """m is what Mat.from_sparse_rows makes of its own rows: increasing
-    columns below the column count and no zero values; and every value is
-    a Fraction, the shared one where frac has one.  Rows written directly
-    in this form could skip that constructor's per-entry checks."""
+def _assert_sorted_fractions(m: Mat) -> None:
+    """m is what Mat.from_sparse_rows makes of its own rows: row tuples,
+    increasing columns below the column count and no zero values; and
+    every value is a Fraction."""
     assert Mat.from_sparse_rows(m.sparse_rows, m.cols) == m
+    assert all(type(x) is Fraction for row in m.sparse_rows for _, x in row)
+
+
+def _assert_stored_form(m: Mat) -> None:
+    """As _assert_sorted_fractions, and each integral value is the shared
+    Fraction where frac has one.  Rows written directly in this form could
+    skip that constructor's per-entry checks."""
+    _assert_sorted_fractions(m)
     for row in m.sparse_rows:
         for _, x in row:
-            assert type(x) is Fraction
             assert x.denominator != 1 or linalg._SMALL.get(x.numerator, x) is x
 
 
@@ -108,3 +116,41 @@ def test_constraints_and_flags_are_in_stored_form():
     matrix_torus = specs["GL2xGL2"].stabilizer_action(rep_from_label("GL2xGL2", ((1, 0), (1, 0)))).intertwiner_constraints[2]
     forms_torus = specs["GL2"].stabilizer_action(rep_from_label("GL2", (2, 0))).intertwiner_constraints[0]
     assert matrix_torus.sparse_rows[0] == () and forms_torus.sparse_rows[1] == ((2, -4),)
+
+
+def test_hom_systems_are_in_stored_form(monkeypatch):
+    # the general system, on seeded random-filtered pairs (diagonal
+    # constraints, dense flags) and on paper cells against the trivial
+    # object and against each other (general constraints, coordinate flags)
+    rng = random.Random(73)
+    pairs = [random_filt_object_pair(rng, max_dim=4) for _ in range(60)]
+    specs = {"GL2": builtin_variety(BINARY_QUADRATIC_FORMS), "GL2xGL2": builtin_variety(TWO_BY_TWO_MATRICES)}
+    cells = [("GL2", label) for label in grid_labels("GL2", range(0, 9), range(-6, 7))]
+    cells += [("GL2xGL2", label) for label in grid_labels("GL2xGL2", range(0, 5), range(-2, 4))]
+    for style in H_STYLES:
+        objects = {}
+        for group, label in cells:
+            spec = specs[group]
+            a = filt_object(rep_from_label(group, label), spec, style)
+            pairs.append((a, filt_object(spec.trivial_rep(), spec, style)))
+            objects.setdefault(group, []).append(a)
+        pairs += [(a, b) for group in specs for a, b in zip(objects[group][::7], objects[group][3::7])]
+    general = 0
+    for a, b in pairs:
+        if a.rep.dim and b.rep.dim:
+            system, free = homspaces._hom_system(a, b)
+            _assert_sorted_fractions(system)
+            assert system.cols == len(free)
+            general += any(homspaces._diagonal(k) is None for k in a.h_action.intertwiner_constraints)
+    assert general
+
+    # the left-kernel system of every paper cell (its values are the
+    # constraints' own, less lambda on the diagonal: the forms reflection
+    # fixes the trivial line, lambda = 1)
+    seen = []
+    monkeypatch.setattr(homspaces, "rank", lambda m: seen.append(m) or linalg.rank(m))
+    for group, label in cells:
+        multiplicity(rep_from_label(group, label), specs[group])
+    assert len(seen) == len(cells) and any(m.rows for m in seen)
+    for m in seen:
+        _assert_sorted_fractions(m)

@@ -171,11 +171,13 @@ def test_kept_trivial_object_equals_a_fresh_one_and_is_reused():
 
 
 def test_kept_target_matches_a_fresh_one_on_paper_large_and_random_cells():
+    # against the general Hom system to a fresh trivial object: the forms
+    # cells n <= 40, |m| <= 8 hold the forms paper grid
     forms, matrices = builtin_variety(BINARY_QUADRATIC_FORMS), builtin_variety(TWO_BY_TWO_MATRICES)
     rng = random.Random(67)
-    cells = [(forms, label) for label in grid_labels("GL2", range(0, 9), range(-6, 7))]
+    cells = [(forms, label) for label in grid_labels("GL2", range(0, 41), range(-8, 9))]
     cells += [(matrices, label) for label in grid_labels("GL2xGL2", range(0, 5), range(-2, 4))]
-    cells += [(matrices, ((n, 1), (n, 1))) for n in (4, 8, 12)]
+    cells += [(matrices, ((n, 1), (n, 1))) for n in range(0, 13)]
     cells += [(forms, (rng.randint(0, 24), rng.randint(-8, 8))) for _ in range(20)]
     cells += [(matrices, tuple((rng.randint(0, 6), rng.randint(-3, 3)) for _ in "ab")) for _ in range(20)]
     for style in H_STYLES:
