@@ -53,7 +53,7 @@ from typing import Iterable, Sequence
 
 from .filtration import FilteredSpace
 from .gl2 import GROUP_FACTORS, GroupActionData, H_STYLE_LIE_PLUS_ELEMENTS, RepData, label_from_factors, rep_from_label
-from .linalg import Mat, SparseRow, _mat, kernel, rank
+from .linalg import Mat, SparseRow, _mat, frac, kernel, rank
 from .varieties import VarietySpec, cocharacter_filtration
 
 
@@ -227,27 +227,38 @@ def _left_kernel_dim(a: FiltObject, triv: FiltObject) -> int:
     p0 the target's top jump; see the module docstring.
     """
     _check_shapes(a, triv)
-    da = a.rep.dim
-    # the rows of a coordinate flag's step are unit vectors
-    steps = [fa.at(fb.steps[-1][0] + 1) for fa, fb in zip(a.filtrations, triv.filtrations)]
-    dropped = {row[0][0] for step in steps for row in step.sparse_rows}
-    kept = [c for c in range(da) if c not in dropped]
-    general: list[Mat] = []
+    dropped: set[int] = set()
+    for fa, fb in zip(a.filtrations, triv.filtrations):
+        # F(p0 + 1) is the first stored step past p0, if any; the rows of a
+        # coordinate flag's step are unit vectors
+        top = fb.steps[-1][0]
+        step = next((sub for idx, sub in fa.steps if idx > top), None)
+        if step is not None:
+            dropped.update(row[0][0] for row in step.sparse_rows)
+    kept = [c for c in range(a.rep.dim) if c not in dropped]
+    general: list[tuple[Mat, Fraction]] = []
     for ka, kb in zip(a.h_action.intertwiner_constraints, triv.h_action.intertwiner_constraints):
         eigen, (lam,) = _diagonal(ka), _diagonal(kb)
         if eigen is None:
-            general.append(ka - Mat.identity(da).scale(lam) if lam else ka)
+            general.append((ka, frac(lam)))
         else:
             kept = [c for c in kept if eigen[c] == lam]
 
     # column j of f (ka - lambda): the kept rows' entries in column j, in the
-    # order of kept, so each equation is in stored form as it is appended
+    # order of kept, so each equation is in stored form as it is appended;
+    # lambda comes off the diagonal entry of each kept row only
     rows: list[SparseRow] = []
-    for ka in general:
+    for ka, lam in general:
         equations: dict[int, list[tuple[int, Fraction]]] = defaultdict(list)
         for k, c in enumerate(kept):
+            shift = lam
             for j, x in ka.sparse_rows[c]:
-                equations[j].append((k, x))
+                if j == c:
+                    x, shift = x - lam, 0
+                if x:
+                    equations[j].append((k, x))
+            if shift:
+                equations[c].append((k, -lam))
         rows += [tuple(eq) for eq in equations.values()]
     return len(kept) - rank(_mat(len(rows), len(kept), tuple(rows)))
 

@@ -462,6 +462,32 @@ def _subspace(ambient_dim: int, sparse_rows: tuple[SparseRow, ...]) -> Subspace:
     return s
 
 
+def _extend_echelon(rows: dict[int, SparseRow], v: SparseRow) -> bool:
+    """Add the stored-form row v to reduced row echelon rows keyed by pivot,
+    in place, keeping them reduced; False, with rows unchanged, when v
+    already lies in their span.
+
+    v is reduced against the rows with its coefficients read off v itself,
+    as in Subspace.contains_rows.  What is left is scaled to a leading 1 at
+    its pivot q and subtracted from every row that is nonzero at q: one
+    back-substitution, since it is zero at every other pivot."""
+    rest = dict(v)
+    for p, c in v:
+        for j, x in rows.get(p, ()):
+            rest[j] = rest[j] - c * x if j in rest else -c * x
+    new = sorted([(j, x) for j, x in rest.items() if x])
+    if not new:
+        return False
+    q, lead = new[0]
+    new = ((q, _ONE), *[(j, x / lead) for j, x in new[1:]])
+    for p, row in rows.items():
+        c = next((x for j, x in row if j == q), None)
+        if c is not None:
+            rows[p] = _row_sum(row, tuple([(j, -c * x) for j, x in new]))
+    rows[q] = new
+    return True
+
+
 def _is_echelon(rows: Sequence[SparseRow], n: int) -> bool:
     """Whether rows are a reduced row echelon basis of QQ^n in stored form.
 

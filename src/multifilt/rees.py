@@ -4,6 +4,10 @@ A filtration F of V corresponds to the module spanned by x^(-level(v)) v
 inside V tensored with Laurent polynomials; inverting x recovers all of V.
 The inverse direction reads the filtration off by degree thresholds: a
 vector lies in F(p) exactly when x^(-p) times it stays inside the module.
+So the steps are the spans of the generators of degree at most -p, each the
+previous step plus the next degree's generators: they are built by
+extending one reduced echelon form, a degree at a time, and each step is
+that form as it stands after its degree.
 The fiber of the module at x = 0 recovers the associated graded space,
 with the grading reversed.
 """
@@ -11,13 +15,18 @@ with the grading reversed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
-from .filtration import FilteredSpace, GradedVectorSpace, adapted_basis, make_filtered
-from .linalg import Subspace, Vector, check_dim, vector
+from .filtration import FilteredSpace, GradedVectorSpace, adapted_basis
+from .linalg import AmbientMismatch, SparseRow, Vector, _extend_echelon, _nonzeros, _subspace, check_dim, vector
 
 
 class RankDeficient(ValueError):
     """Generators fail to be independent of full rank."""
+
+
+_NOT_BASIS = "generators must be independent and of full rank"
 
 
 @dataclass(frozen=True)
@@ -41,14 +50,27 @@ def rees_construct(fs: FilteredSpace) -> GradedFreeModule:
 
 
 def derees(m: GradedFreeModule) -> FilteredSpace:
-    """Recover the filtration: F(p) is spanned by generators of degree <= -p."""
-    vecs = [v for v, _ in m.generators]
-    if len(vecs) != m.ambient_dim or Subspace.span(m.ambient_dim, vecs).dim() != m.ambient_dim:
-        raise RankDeficient("generators must be independent and of full rank")
-    steps = {}
-    for d in sorted({d for _, d in m.generators}):
-        steps[-d] = Subspace.span(m.ambient_dim, [v for v, dg in m.generators if dg <= d])
-    return make_filtered(m.ambient_dim, steps)
+    """Recover the filtration: F(p) is spanned by generators of degree <= -p.
+
+    Generators join one reduced echelon form in order of degree, and F(-d)
+    is that form after the generators of degree d.  Independent generators
+    make every step strictly larger than the one before, so the steps are
+    already normalized.
+    """
+    n = m.ambient_dim
+    if len(m.generators) != n:
+        raise RankDeficient(_NOT_BASIS)
+    gens = [(d, vector(v)) for v, d in m.generators]
+    if any(len(v) != n for _, v in gens):
+        raise AmbientMismatch("spanning vector length does not match ambient dimension")
+    rows: dict[int, SparseRow] = {}
+    steps = []
+    for d, batch in groupby(sorted(gens, key=itemgetter(0)), key=itemgetter(0)):
+        for _, v in batch:
+            if not _extend_echelon(rows, _nonzeros(v)):
+                raise RankDeficient(_NOT_BASIS)
+        steps.append((-d, _subspace(n, tuple([rows[p] for p in sorted(rows)]))))
+    return FilteredSpace(n, tuple(reversed(steps)))
 
 
 def fiber_at_zero(m: GradedFreeModule) -> GradedVectorSpace:

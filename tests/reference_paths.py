@@ -16,7 +16,8 @@ system that emits the filtration conditions at every jump for every
 echelon row of the source step, the external product with its
 Kronecker-product operators built up front, and the multiplicity that
 builds a fresh trivial object for every call and solves the general Hom
-system to it rather than a left kernel.
+system to it rather than a left kernel, and the de-Rees map that spans
+every prefix of generators afresh and normalizes through make_filtered.
 They live only here, so that tests can compare the library against them on
 many inputs.
 """
@@ -34,6 +35,7 @@ from multifilt.filtration import FilteredSpace, make_filtered
 from multifilt.gl2 import GROUP_FACTORS, H_STYLE_LIE_PLUS_ELEMENTS, Gl2Label, RepData, Weight, external_rep, irrep_gl2
 from multifilt.homspaces import FiltObject, filt_object, hom_dim
 from multifilt.linalg import AmbientMismatch, Mat, Subspace, kernel, kron, rank, vector
+from multifilt.rees import GradedFreeModule, RankDeficient
 from multifilt.varieties import Cocharacter, VarietySpec, pairing
 
 
@@ -371,3 +373,15 @@ def reference_multiplicity(rep: RepData, spec: VarietySpec, style: str = H_STYLE
     """The Hom dimension to a trivial object built afresh for this call,
     through the general Hom system of hom_dim."""
     return hom_dim(filt_object(rep, spec, style), filt_object(reference_trivial_rep(spec), spec, style))
+
+
+def reference_derees(m: GradedFreeModule) -> FilteredSpace:
+    """F(p) spanned afresh from the generators of degree <= -p, for every
+    degree, after one full-rank check, and normalized by make_filtered."""
+    vecs = [v for v, _ in m.generators]
+    if len(vecs) != m.ambient_dim or Subspace.span(m.ambient_dim, vecs).dim() != m.ambient_dim:
+        raise RankDeficient("generators must be independent and of full rank")
+    steps = {}
+    for d in sorted({d for _, d in m.generators}):
+        steps[-d] = Subspace.span(m.ambient_dim, [v for v, dg in m.generators if dg <= d])
+    return make_filtered(m.ambient_dim, steps)

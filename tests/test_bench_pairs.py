@@ -110,6 +110,29 @@ def test_peak_rss_fit_needs_two_attempted_counts():
     assert flat == {"mb_per_1000_ops": 0.0, "intercept_mb": 26.0, "r": None, "change_shift_mb": None}
 
 
+def test_rss_headroom_is_the_bound_over_the_base_median_in_fitted_ops():
+    # rss = 20 + 0.25 MB per 1000 ops; the base runs read 21.0 and 21.5 MB,
+    # so the 0.1 bound is 2.125 MB over their median: 8500 more ops a run
+    base = [(400.0, 20.0 + 0.25 * ops / 1000, 0, ops) for ops in (4000, 6000)]
+    change = [(500.0, 20.0 + 0.25 * ops / 1000, 0, ops) for ops in (8000, 12000)]
+    assert bench_pairs.summarize(_pairs(base, change), END_TO_END)["rss_headroom_ops"] == pytest.approx(8500)
+    # a tighter bound leaves less room, in proportion
+    tight = [dict(m, bound=0.05) if m["name"] == "peak_rss_mb" else m for m in END_TO_END]
+    assert bench_pairs.summarize(_pairs(base, change), tight)["rss_headroom_ops"] == pytest.approx(4250)
+
+
+def test_rss_headroom_needs_a_rising_fit_and_a_memory_metric():
+    # no line, a flat line, a falling line, or no memory bound: no headroom
+    same = _pairs([(400.0, 26.0)] * 2, [(500.0, 27.0)] * 2)
+    flat = _pairs([(400.0, 26.0, 0, 100)], [(500.0, 26.0, 0, 150)])
+    falling = _pairs([(400.0, 26.0, 0, 100)], [(500.0, 25.0, 0, 150)])
+    for pairs in (same, flat, falling):
+        assert bench_pairs.summarize(pairs, END_TO_END)["rss_headroom_ops"] is None
+    rising = _pairs([(400.0, 26.0, 0, 100)], [(500.0, 27.0, 0, 150)])
+    assert bench_pairs.summarize(rising, END_TO_END)["rss_headroom_ops"] > 0
+    assert bench_pairs.summarize(rising, END_TO_END[:1])["rss_headroom_ops"] is None
+
+
 def test_change_shift_is_the_gap_between_intercepts_at_one_slope():
     # base runs on rss = 20 + 0.2 MB per 1000 ops, change runs 0.4 MB above
     # that line at more ops: the pooled line over both sides would mistake

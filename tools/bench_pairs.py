@@ -24,7 +24,10 @@ within the metric's bound.  It also holds, per workload, the straight line
 ``peak_rss_mb = a + b * attempted`` fitted over all runs of both sides, so
 that the share of a memory change that comes from pass count alone can be
 read off the data, and the memory the change adds at equal ops attempted:
-the gap between the two sides' intercepts under one common slope.
+the gap between the two sides' intercepts under one common slope; and the
+memory headroom, the extra ops per run at which that line climbs by the
+``peak_rss_mb`` bound over the base median, so that a speed-up can be sized
+against the memory bound before it is built.
 """
 
 from __future__ import annotations
@@ -101,6 +104,18 @@ def fit_rss(pairs: list[tuple[dict, dict]]) -> dict | None:
     return {"mb_per_1000_ops": slope * 1000, "intercept_mb": intercept, "r": r, "change_shift_mb": change_shift(pairs)}
 
 
+def rss_headroom(pairs: list[tuple[dict, dict]], fit: dict | None, end_to_end: list[dict]) -> float | None:
+    """Extra ops attempted per run at which the fitted ``peak_rss_mb`` rises
+    by the metric's bound over the base median: the bound times the base
+    side's median memory, over the fit's slope.  None without a fit, a
+    rising slope or a ``peak_rss_mb`` metric."""
+    bound = next((m["bound"] for m in end_to_end if m["name"] == "peak_rss_mb"), None)
+    if fit is None or bound is None or fit["mb_per_1000_ops"] <= 0:
+        return None
+    base_rss = statistics.median(p[0]["metrics"]["peak_rss_mb"]["value"] for p in pairs)
+    return bound * base_rss / (fit["mb_per_1000_ops"] / 1000)
+
+
 def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     """Per-side spreads and pair outcomes of one workload.
 
@@ -112,7 +127,8 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     a win when the change's value is better in the metric's direction and a
     tie when the two are equal.  The gain rule is the benchmark's: at least
     nine tenths of the pairs won, and medians further apart than the base's
-    interquartile range.  ``peak_rss_fit`` is fit_rss over the same runs.
+    interquartile range.  ``peak_rss_fit`` is fit_rss over the same runs,
+    and ``rss_headroom_ops`` is rss_headroom of that fit.
     """
     out: dict = {}
     for k, side in enumerate(SIDES):
@@ -120,6 +136,7 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
         out[side] = {"attempted": sum(attempted), "failed": sum(p[k]["failed"] for p in pairs), "attempted_runs": attempted}
     out["all_correct"] = all(r["correct"] for p in pairs for r in p)
     out["peak_rss_fit"] = fit_rss(pairs)
+    out["rss_headroom_ops"] = rss_headroom(pairs, out["peak_rss_fit"], end_to_end)
     out["metrics"] = {}
     for metric in end_to_end:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
