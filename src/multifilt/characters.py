@@ -140,7 +140,11 @@ def oracle_degrees(spec: "VarietySpec", label: object, max_degree: int | None = 
     Otherwise every degree up to max_degree is scanned, which is then
     required.
     """
-    target = label_weight_sum(label)
+    return _degrees(spec, label_weight_sum(label), max_degree)
+
+
+def _degrees(spec: "VarietySpec", target: int, max_degree: int | None) -> range:
+    # oracle_degrees of a label whose weights sum to target
     sums = {-sum(w) for w in spec.x_module_weights}
     if len(sums) == 1 and 0 not in sums:
         s = sums.pop()
@@ -156,10 +160,14 @@ def oracle_degrees(spec: "VarietySpec", label: object, max_degree: int | None = 
 def oracle_multiplicity(spec: "VarietySpec", label: object, max_degree: int | None = None) -> int:
     """Multiplicity of a labeled irreducible in the coordinate ring, summed
     over the degrees that oracle_degrees names; exact with no bound when
-    the generator weight sums determine the degree."""
+    the generator weight sums determine the degree.  The label is checked
+    once, by label_factors."""
     dual = tuple(sorted(tuple(-c for c in w) for w in spec.x_module_weights))
     factors = label_factors(label)
     if 2 * len(factors) != spec.rank:
         raise ValueError(f"label {label!r} does not fit torus rank {spec.rank}")
-    key = label_from_factors(factors)
-    return sum(_degree_decomposition(dual, d).get(key, 0) for d in oracle_degrees(spec, key, max_degree))
+    # the key label_from_factors and the sum label_weight_sum would give,
+    # without checking the factors again
+    key = factors[0] if len(factors) == 1 else factors
+    target = sum(n + 2 * m for n, m in factors)
+    return sum(_degree_decomposition(dual, d).get(key, 0) for d in _degrees(spec, target, max_degree))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .linalg import Mat, _mat, check_dim, frac, kron
+from .linalg import _SMALL, Mat, _mat, check_dim, kron
 
 Weight = tuple[int, ...]
 Gl2Label = tuple[int, int]
@@ -248,13 +248,14 @@ def stabilizer_action_binary_forms(n: int, m: int, style: str = H_STYLE_LIE_PLUS
     if n < 0:
         raise ValueError(_NEGATIVE_DEGREE)
     # Both constraints are written in stored form: increasing columns, no
-    # zero values.  X acts as _lie_op does with a, b, c, d = 1, -2, 0, -1:
-    # row i holds (n - i) a + i d = n - 2i on the diagonal, dropped where it
-    # is zero, and (i + 1) b = -2(i + 1) in column i + 1.
+    # zero values, each value one lookup in linalg's shared table (a fresh
+    # Fraction past it).  X acts as _lie_op does with a, b, c, d = 1, -2, 0,
+    # -1: row i holds (n - i) a + i d = n - 2i on the diagonal, dropped
+    # where it is zero, and (i + 1) b = -2(i + 1) in column i + 1.
     torus = _mat(
         n + 1,
         n + 1,
-        tuple([tuple([(i, frac(n - 2 * i))] * (2 * i != n) + [(i + 1, frac(-2 * (i + 1)))] * (i < n)) for i in range(n + 1)]),
+        tuple([((i, _SMALL[n - 2 * i]),) * (2 * i != n) + ((i + 1, _SMALL[-2 * (i + 1)]),) * (i < n) for i in range(n + 1)]),
     )
     if style == H_STYLE_LIE_ONLY:
         return GroupActionData(n + 1, (torus,))
@@ -265,7 +266,7 @@ def stabilizer_action_binary_forms(n: int, m: int, style: str = H_STYLE_LIE_PLUS
     reflection = _mat(
         n + 1,
         n + 1,
-        tuple([tuple([(c, frac((-1) ** ((m + c) % 2) * comb(n - c, r - c))) for c in range(r + 1)]) for r in range(n + 1)]),
+        tuple([tuple([(c, _SMALL[(-1) ** ((m + c) % 2) * comb(n - c, r - c)]) for c in range(r + 1)]) for r in range(n + 1)]),
     )
     return GroupActionData(n + 1, (torus, reflection))
 

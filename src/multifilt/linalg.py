@@ -33,10 +33,21 @@ Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+
+class _SharedInts(dict):
+    """int -> Fraction: a lookup gives the kept Fraction of a key in the
+    table and a fresh Fraction of any other int (kept nowhere)."""
+
+    __slots__ = ()
+
+    def __missing__(self, x: int) -> Fraction:
+        return Fraction(x)
+
+
 # One shared Fraction per integer in -256..256, so that an integer entry
-# costs a dict lookup rather than a Fraction construction.  0 and 1 map to
-# _ZERO and _ONE, which kron tells apart by identity.
-_SMALL = {i: Fraction(i) for i in range(-256, 257)} | {0: _ZERO, 1: _ONE}
+# costs one lookup, _SMALL[x], rather than a Fraction construction.  0 and 1
+# map to _ZERO and _ONE, which kron tells apart by identity.
+_SMALL = _SharedInts({i: Fraction(i) for i in range(-256, 257)} | {0: _ZERO, 1: _ONE})
 
 _NOT_RREF = "subspace basis is not in reduced row echelon form"
 
@@ -64,8 +75,7 @@ def frac(x: object) -> Fraction:
             return Fraction(x)
         if not isinstance(x, int):
             raise TypeError(f"cannot interpret {x!r} as a rational number")
-    shared = _SMALL.get(x)
-    return Fraction(x) if shared is None else shared
+    return _SMALL[x]
 
 
 def vector(entries: Iterable[object]) -> Vector:

@@ -56,7 +56,7 @@ from .gl2 import (
     label_factors,
     stabilizer_action_binary_forms,
 )
-from .linalg import Mat, _mat, _subspace, frac
+from .linalg import _SMALL, Mat, _mat, _subspace
 
 Cocharacter = tuple[int, ...]
 
@@ -176,15 +176,17 @@ def _matrix_variety_stabilizer(rep: RepData, style: str) -> GroupActionData:
     # f x 1 - 1 x e holds n1 - i + 1 at (i-1, k) and -(k + 1) at (i, k+1):
     # at most two nonzeros, none of them zero, in increasing columns: the
     # rows are in stored form as written, so no merge or check is needed.
+    # Each value is one lookup in linalg's shared table (a fresh Fraction
+    # past it).
     d2 = n2 + 1
     cells = [(r, *divmod(r, d2)) for r in range((n1 + 1) * d2)]
-    e_f = tuple([tuple([(r - 1, frac(k - d2))] * (k > 0) + [(r + d2, frac(i + 1))] * (i < n1)) for r, i, k in cells])
-    f_e = tuple([tuple([(r - d2, frac(n1 - i + 1))] * (i > 0) + [(r + 1, frac(-k - 1))] * (k < n2)) for r, i, k in cells])
+    e_f = tuple([((r - 1, _SMALL[k - d2]),) * (k > 0) + ((r + d2, _SMALL[i + 1]),) * (i < n1) for r, i, k in cells])
+    f_e = tuple([((r - d2, _SMALL[n1 - i + 1]),) * (i > 0) + ((r + 1, _SMALL[-k - 1]),) * (k < n2) for r, i, k in cells])
     # the torus pairs h11 - h21 and h12 - h22 are diagonal, with the
     # differences of the two factors' weights as eigenvalues; a zero
     # eigenvalue leaves its row empty
     torus = [
-        tuple([((r, frac(w[a] - w[a + 2])),) if w[a] != w[a + 2] else () for r, w in enumerate(rep.weights)])
+        tuple([((r, _SMALL[w[a] - w[a + 2]]),) if w[a] != w[a + 2] else () for r, w in enumerate(rep.weights)])
         for a in (0, 1)
     ]
     return GroupActionData(rep.dim, tuple([_mat(rep.dim, rep.dim, rows) for rows in (e_f, f_e, *torus)]))

@@ -150,3 +150,23 @@ def test_change_shift_is_the_gap_between_intercepts_at_one_slope():
     single = [(500.0, 22.0, 0, 9000)] * 3
     assert bench_pairs.summarize(_pairs(base, single), END_TO_END)["peak_rss_fit"]["change_shift_mb"] is None
     assert bench_pairs.change_shift(_pairs(single, base)) is None
+
+
+def test_rss_headroom_share_is_the_headroom_over_the_base_median_ops():
+    # the headroom of 8500 ops a run (see above) over the base side's median
+    # of 5000 ops attempted: room for +170% ops_per_s
+    base = [(400.0, 20.0 + 0.25 * ops / 1000, 0, ops) for ops in (4000, 6000)]
+    change = [(500.0, 20.0 + 0.25 * ops / 1000, 0, ops) for ops in (8000, 12000)]
+    summary = bench_pairs.summarize(_pairs(base, change), END_TO_END)
+    assert summary["rss_headroom_share"] == pytest.approx(1.7)
+    # the change side's counts move the fit, not the denominator
+    faster = bench_pairs.summarize(_pairs(base, [(500.0, 21.0, 0, 16000), (500.0, 22.0, 0, 20000)]), END_TO_END)
+    assert faster["rss_headroom_share"] == pytest.approx(faster["rss_headroom_ops"] / 5000)
+    # no headroom, no share
+    flat = _pairs([(400.0, 26.0, 0, 100)], [(500.0, 26.0, 0, 150)])
+    assert bench_pairs.summarize(flat, END_TO_END)["rss_headroom_share"] is None
+
+
+def test_pair_line_shows_both_sides_speed_and_memory():
+    got = {"base": bench_pairs.parse_result(_stdout(923.0, 31.5)), "change": bench_pairs.parse_result(_stdout(1064.0, 31.625))}
+    assert bench_pairs.pair_line(got) == "ops_per_s {'base': 923.0, 'change': 1064.0}, peak_rss_mb {'base': 31.5, 'change': 31.625}"

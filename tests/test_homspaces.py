@@ -7,7 +7,7 @@ from reference_paths import reference_multiplicity
 from multifilt import homspaces, linalg
 from multifilt.characters import oracle_multiplicity
 from multifilt.filtration import is_filtration_morphism
-from multifilt.gl2 import GroupActionData, RepData, irrep_gl2, rep_from_label
+from multifilt.gl2 import H_STYLES, GroupActionData, RepData, irrep_gl2, rep_from_label
 from multifilt.homspaces import (
     FiltObject,
     filt_object,
@@ -21,6 +21,7 @@ from multifilt.linalg import Mat
 from multifilt.varieties import (
     BINARY_QUADRATIC_FORMS,
     TWO_BY_TWO_MATRICES,
+    VarietySpec,
     builtin_variety,
     cocharacter_filtration,
     custom_variety,
@@ -263,3 +264,42 @@ def test_multiplicity_makes_one_rank_call_and_no_general_system(monkeypatch):
     seen.clear()
     multiplicity(rep_from_label("GL2xGL2", ((1, 0), (1, 1))), matrices)
     assert (seen[0].rows, seen[0].cols) == (0, 0)
+
+
+def _recipe_must_not_run(rep, style):
+    pytest.fail("a stabilizer recipe ran")
+
+
+def test_multiplicity_keeps_the_error_order_of_the_cell_object():
+    # each bad input raises what building the cell's object and then the
+    # trivial one raises, in that order, as the general path does
+    matrices = builtin_variety(TWO_BY_TWO_MATRICES)
+    silent = VarietySpec("Silent", "generic", 2, ((1, 0),), ((-1, 0),), _recipe_must_not_run)
+    short = RepData(2, ((0, 0, 0, 0), (0, 0)), (), label=((0, 0), (1, 0)))
+    table = custom_variety(2, [[1, 0]], [[-1, 0]], {"src": [Mat.identity(2)], "trivial": [Mat.identity(1)]})
+    # constraints one dimension too large for the cell, right for the target
+    oversized = VarietySpec(
+        "Oversized", "generic", 2, ((1, 0),), ((-1, 0),), lambda rep, style: GroupActionData(rep.dim + (rep.dim > 1), ())
+    )
+    no_trivial = custom_variety(2, [[1, 0]], [[-1, 0]], {"src": [Mat.identity(2)]})
+    two_mu = custom_variety(2, [[1, 0], [0, 1]], [[-1, 0]], {})
+    cases = [
+        # a weight of the wrong length comes first, even under an unknown style
+        ((short, matrices, "bogus"), "cocharacter length 4 does not match weight length 2"),
+        ((RepData(2, ((0, 0), (0,)), (), label="src"), two_mu, "bogus"), "cocharacter length 2 does not match weight length 1"),
+        ((RepData(1, ((0, 0),), (), label="src"), silent, "bogus"), "unknown constraint style 'bogus'"),
+        ((RepData(1, ((0, 0),), (), label="src"), silent, None), "unknown constraint style None"),
+        # then the recipe's own errors, for the cell and then for the target
+        ((RepData(2, ((0, 0),) * 2, (), label="other"), table, H_STYLES[0]), "no stabilizer constraints given for label 'other'"),
+        ((RepData(1, ((0, 0, 0, 0),), ()), matrices, H_STYLES[0]), "matrix-variety stabilizer needs a labeled GL2 x GL2 irreducible"),
+        ((RepData(2, ((0, 0),) * 2, (), label="src"), no_trivial, H_STYLES[1]), "no stabilizer constraints given for label 'trivial'"),
+        # then the dimension and shape checks
+        ((RepData(2, ((0, 0),) * 2, (), label="src"), oversized, H_STYLES[1]), "constraint dimension does not match the representation"),
+        ((*reversed(_custom_cell([], [(0, 0)] * 2, [SWAP, SWAP], [1])), H_STYLES[1]), "different numbers of equivariance constraints"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message) as got:
+            multiplicity(*args)
+        with pytest.raises(ValueError) as reference:
+            reference_multiplicity(*args)
+        assert (type(got.value), str(got.value)) == (type(reference.value), str(reference.value)), args

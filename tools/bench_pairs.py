@@ -26,8 +26,10 @@ that the share of a memory change that comes from pass count alone can be
 read off the data, and the memory the change adds at equal ops attempted:
 the gap between the two sides' intercepts under one common slope; and the
 memory headroom, the extra ops per run at which that line climbs by the
-``peak_rss_mb`` bound over the base median, so that a speed-up can be sized
-against the memory bound before it is built.
+``peak_rss_mb`` bound over the base median, in ops and as a share of the
+base side's median ops attempted, so that a speed-up can be sized against
+the memory bound before it is built.  While it runs, each pair prints one
+line to stderr with both sides' ``ops_per_s`` and ``peak_rss_mb``.
 """
 
 from __future__ import annotations
@@ -128,7 +130,9 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     tie when the two are equal.  The gain rule is the benchmark's: at least
     nine tenths of the pairs won, and medians further apart than the base's
     interquartile range.  ``peak_rss_fit`` is fit_rss over the same runs,
-    and ``rss_headroom_ops`` is rss_headroom of that fit.
+    ``rss_headroom_ops`` is rss_headroom of that fit, and
+    ``rss_headroom_share`` is that over the base side's median ops
+    attempted: the ``ops_per_s`` speed-up the memory bound leaves room for.
     """
     out: dict = {}
     for k, side in enumerate(SIDES):
@@ -136,7 +140,9 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
         out[side] = {"attempted": sum(attempted), "failed": sum(p[k]["failed"] for p in pairs), "attempted_runs": attempted}
     out["all_correct"] = all(r["correct"] for p in pairs for r in p)
     out["peak_rss_fit"] = fit_rss(pairs)
-    out["rss_headroom_ops"] = rss_headroom(pairs, out["peak_rss_fit"], end_to_end)
+    out["rss_headroom_ops"] = headroom = rss_headroom(pairs, out["peak_rss_fit"], end_to_end)
+    base_ops = statistics.median(out["base"]["attempted_runs"])
+    out["rss_headroom_share"] = None if headroom is None else headroom / base_ops
     out["metrics"] = {}
     for metric in end_to_end:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -158,6 +164,13 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
             and sign * (change["median"] - base["median"]) > base["q3"] - base["q1"],
         }
     return out
+
+
+def pair_line(got: dict[str, dict]) -> str:
+    """Both sides' ``ops_per_s`` and ``peak_rss_mb`` in one pair, as the
+    progress line shows them: the speed next to the memory it spends."""
+    values = {name: {side: got[side]["metrics"][name]["value"] for side in SIDES} for name in ("ops_per_s", "peak_rss_mb")}
+    return ", ".join(f"{name} {sides}" for name, sides in values.items())
 
 
 def _git(*args: str) -> str:
@@ -224,8 +237,7 @@ def main(argv=None) -> int:
             for workload in workloads:
                 got = {side: run_bench(trees[side], workload, args.seed, seconds) for side in order}
                 results[workload].append((got["base"], got["change"]))
-                ops = {side: got[side]["metrics"]["ops_per_s"]["value"] for side in SIDES}
-                print(f"pair {i + 1}/{args.pairs} {workload}: first {order[0]}, ops_per_s {ops}", file=sys.stderr)
+                print(f"pair {i + 1}/{args.pairs} {workload}: first {order[0]}, {pair_line(got)}", file=sys.stderr)
     report = {
         "base": base_sha,
         "change": {"head": _git("rev-parse", "HEAD").strip(), "dirty": bool(_git("status", "--porcelain").strip())},
