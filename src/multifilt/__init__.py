@@ -39,7 +39,6 @@ from .gl2 import (
     rep_from_label,
     restrict_to_diagonal,
     stabilizer_action_binary_forms,
-    sym_power_matrix,
 )
 from .homspaces import (
     FiltObject,

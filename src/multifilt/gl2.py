@@ -22,12 +22,9 @@ The raising operator e sends basis vector j to j * (vector j-1), shifting
 weights by (1, -1); f sends j to (n - j) * (vector j+1); [e, f] = h1 - h2.
 The determinant twist shifts h1 and h2 by m but leaves e and f alone.
 
-The public sym_power_matrix follows the classical substitution layout (row i
-lists the expansion of the image of the i-th monomial) because that is the
-shape in which such matrices are usually tabulated; it is multiplicative as
-written.  Nothing in the library builds operators from it: the stabilizer
-constraints of both built-in examples are written directly from their
-labels, in closed form, as column-convention sparse rows in stored form.
+The stabilizer constraints of both built-in examples are written directly
+from their labels, in closed form, as column-convention sparse rows in
+stored form.
 """
 
 from __future__ import annotations
@@ -35,6 +32,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, prod
 
 from .linalg import _SMALL, Mat, _mat, check_dim, kron
@@ -120,7 +118,10 @@ class _ProductOps(Sequence):
 @dataclass(frozen=True)
 class GroupActionData:
     """Equivariance constraints: a map f between two objects carrying data
-    (A_1..A_k) and (B_1..B_k) is equivariant iff f A_i = B_i f for all i."""
+    (A_1..A_k) and (B_1..B_k) is equivariant iff f A_i = B_i f for all i.
+
+    Each constraint is classified once, on the first read of diagonals, and
+    every Hom solve against the object reads that classification."""
 
     dim: int
     intertwiner_constraints: tuple[Mat, ...]
@@ -130,6 +131,24 @@ class GroupActionData:
         for op in self.intertwiner_constraints:
             if op.rows != self.dim or op.cols != self.dim:
                 raise ValueError("constraint matrices must be square of the object dimension")
+
+    @cached_property
+    def diagonals(self) -> tuple[tuple[int | Fraction, ...] | None, ...]:
+        """Per constraint, its diagonal entries (its eigenvalues on the basis
+        vectors) if it has no other nonzero entry, else None.  Integral
+        entries come back as ints: the Hom solvers compare them one basis
+        vector at a time, and two ints compare far cheaper than Fractions."""
+        return tuple(map(_diagonal, self.intertwiner_constraints))
+
+
+def _diagonal(m: Mat) -> tuple[int | Fraction, ...] | None:
+    out = []
+    for i, row in enumerate(m.sparse_rows):
+        if row and (len(row) > 1 or row[0][0] != i):
+            return None
+        x = row[0][1] if row else 0
+        out.append(x.numerator if x.denominator == 1 else x)
+    return tuple(out)
 
 
 def _lie_op(x: Mat, n: int, m: int) -> Mat:
@@ -161,37 +180,6 @@ def irrep_gl2(n: int, m: int) -> RepData:
     weights = tuple([(n - j + m, j + m) for j in range(n + 1)])
     ops = tuple(_lie_op(x, n, m) for x in (_E12, _E21, _E11, _E22))
     return RepData(n + 1, weights, ops, label=(n, m))
-
-
-def sym_power_matrix(g: Mat, n: int) -> Mat:
-    """Degree-n symmetric power of a 2x2 matrix on the monomial basis.
-
-    Row i lists the coefficients of (a x + b y)^(n-i) (c x + d y)^i where
-    g = [[a, b], [c, d]].  Satisfies sym(g @ h) = sym(g) @ sym(h).
-    """
-    if n < 0:
-        raise ValueError(_NEGATIVE_DEGREE)
-    if g.rows != 2 or g.cols != 2:
-        raise ValueError("sym_power_matrix expects a 2x2 matrix")
-    a, b, c, d = g.at(0, 0), g.at(0, 1), g.at(1, 0), g.at(1, 1)
-    rows = []
-    for i in range(n + 1):
-        poly = [1]  # coefficients on x^(deg-j) y^j
-        for _ in range(n - i):
-            poly = _mul_linear(poly, a, b)
-        for _ in range(i):
-            poly = _mul_linear(poly, c, d)
-        rows.append(poly)
-    return Mat.from_rows(rows, n + 1)
-
-
-def _mul_linear(poly: list, u: Fraction, v: Fraction) -> list:
-    # multiply a binary form, coefficients on x^(deg-j) y^j, by (u x + v y)
-    out = [0] * (len(poly) + 1)
-    for j, coeff in enumerate(poly):
-        out[j] += u * coeff
-        out[j + 1] += v * coeff
-    return out
 
 
 def dual(n: int, m: int) -> Gl2Label:

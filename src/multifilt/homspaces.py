@@ -6,10 +6,12 @@ linear maps intertwining every paired constraint and mapping each
 filtration step into the corresponding step of the target; their dimension
 is the kernel dimension of one assembled rational linear system.
 
-The system uses the weight structure.  A constraint pair that is diagonal
-on both sides (the torus part, in a weight basis) lets an entry f[r, c]
-be nonzero only where the two eigenvalues agree, so the other entries are
-never made variables and such pairs contribute no equations.  The other
+The system uses the weight structure.  Each GroupActionData classifies
+its constraints once, as diagonal (a tuple of eigenvalues) or general, and
+every solve reads that classification.  A constraint pair that is diagonal
+on both sides (the torus part, in a weight basis) lets an entry f[r, c] be
+nonzero only where the two eigenvalues agree, so the other entries are
+never made variables and such pairs contribute no equations.  The general
 constraints and the filtration conditions are assembled over the
 surviving entries only; solutions are put back among the zero entries.
 
@@ -28,18 +30,17 @@ cocharacter filtrations and stabilizer constraints to the analogous object
 of the trivial representation.  That target is the same for every cell, so
 it is built once per example and constraint style, on the first call, and
 kept on the spec; builtin_variety returns one shared spec per name, so
-every caller shares it.
+every caller shares it, and its constraints are classified once.
 
 The target is one-dimensional, so a morphism is a row vector f and the
-multiplicity is the dimension of a left kernel, solved without the general
-system.  Each target constraint is a scalar lambda, and f K = lambda f
-reads f (K - lambda) = 0.  A constraint diagonal on the source leaves the
-coordinate f_c free only where K[c, c] = lambda.  The target flag is the
+multiplicity is the dimension of a left kernel.  The target flag is the
 whole line up to its top jump p0 and zero above it, so f must vanish on
 the source step F(p0 + 1); that step is a coordinate flag, so this only
-drops its coordinates.  The other constraints give one equation per
-column j of f (K - lambda) over the coordinates left, grouped by
-constraint, and one rank finishes the cell.
+drops its coordinates.  The rest is the general assembler: the same
+pruning keeps the coordinates f_c whose eigenvalues equal the target's
+scalars lambda, and the same equation writer gives f (K - lambda) = 0 for
+each general constraint, over the coordinates left; one rank finishes the
+cell.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .filtration import FilteredSpace
 from .gl2 import GROUP_FACTORS, GroupActionData, H_STYLE_LIE_PLUS_ELEMENTS, RepData, label_from_factors, rep_from_label
-from .linalg import Mat, SparseRow, _mat, frac, kernel, rank
+from .linalg import Mat, SparseRow, _mat, kernel, rank
 from .varieties import VarietySpec, cocharacter_filtration
 
 
@@ -86,20 +87,61 @@ def _check_shapes(a: FiltObject, b: FiltObject) -> None:
         raise ValueError("objects carry different numbers of equivariance constraints")
 
 
-def _diagonal(m: Mat) -> tuple[int | Fraction, ...] | None:
-    """The diagonal entries of m if it has no other nonzero entry, else None.
-    Integral entries come back as ints: they hash alike, and an int's hash
-    is far cheaper than a Fraction's."""
-    out = []
-    for i, row in enumerate(m.sparse_rows):
-        if not row:
-            out.append(0)
-        elif len(row) == 1 and row[0][0] == i:
-            x = row[0][1]
-            out.append(x.numerator if x.denominator == 1 else x)
+def _free_entries(
+    a: GroupActionData, b: GroupActionData, dropped: Container[int] = ()
+) -> tuple[list[tuple[int, int]], list[tuple[Mat, Mat]]]:
+    """The entries (r, c) of f, a (b.dim x a.dim) matrix, in row-major order,
+    that no diagonal constraint pair forces to zero and whose source column
+    c is not in dropped; and the pairs that are not diagonal on both sides.
+
+    For a pair with both matrices diagonal, f ka = kb f at entry (r, c)
+    reads f[r, c] (ka[c, c] - kb[r, r]) = 0, so such pairs only decide
+    which entries are variables at all."""
+    diagonal: list[tuple[tuple[int | Fraction, ...], tuple[int | Fraction, ...]]] = []
+    general: list[tuple[Mat, Mat]] = []
+    for eigen_a, eigen_b, ka, kb in zip(a.diagonals, b.diagonals, a.intertwiner_constraints, b.intertwiner_constraints):
+        if eigen_a is None or eigen_b is None:
+            general.append((ka, kb))
         else:
-            return None
-    return tuple(out)
+            diagonal.append((eigen_a, eigen_b))
+    columns = [c for c in range(a.dim) if c not in dropped]
+    free = []
+    for r in range(b.dim):
+        kept = columns
+        for eigen_a, eigen_b in diagonal:
+            lam = eigen_b[r]
+            kept = [c for c in kept if eigen_a[c] == lam]
+        free += [(r, c) for c in kept]
+    return free, general
+
+
+def _constraint_rows(free: list[tuple[int, int]], general: list[tuple[Mat, Mat]]) -> list[SparseRow]:
+    """The equations of f ka = kb f for each general pair, one per output
+    entry, over the variables free[k] = (r, c): f[r, c] enters equation
+    (r, j) with ka[c, j] and equation (i, c) with -kb[i, r].  Variables are
+    visited in order, so each row is sorted as written.  An entry that
+    cancels is dropped, and so is a row left empty: rows are in stored
+    form."""
+    rows: list[SparseRow] = []
+    for ka, kb in general:
+        kb_cols: dict[int, list[tuple[int, Fraction]]] = defaultdict(list)
+        for i, kb_row in enumerate(kb.sparse_rows):
+            for r, x in kb_row:
+                kb_cols[r].append((i, x))
+        # equation (i, j) is keyed i * n + j
+        n = ka.cols
+        equations: dict[int, list[tuple[int, Fraction]]] = defaultdict(list)
+        for k, (r, c) in enumerate(free):
+            for j, x in ka.sparse_rows[c]:
+                equations[r * n + j].append((k, x))
+            for i, x in kb_cols[r]:
+                eq = equations[i * n + c]
+                # at (i, c) = (r, c), ka[c, c] came first: take it back, less x
+                x = eq.pop()[1] - x if eq and eq[-1][0] == k else -x
+                if x:
+                    eq.append((k, x))
+        rows += [tuple(eq) for eq in equations.values() if eq]
+    return rows
 
 
 def _hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, list[int]]:
@@ -107,49 +149,14 @@ def _hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, list[int]]:
     diagonal constraint pair forces to zero; also returns those entries'
     row-major flat indices, in order, one per column of the system.
 
-    For a pair with both matrices diagonal, f ka = kb f at entry (r, c)
-    reads f[r, c] (ka[c, c] - kb[r, r]) = 0, so such pairs contribute no
-    rows: they only decide which entries are variables at all.  The other
-    pairs and the filtration conditions give rows over those variables;
-    rows that vanish on them are dropped.  Every loop runs over nonzero
-    entries only.
+    The general constraint pairs and the filtration conditions give rows
+    over those variables; rows that vanish on them are dropped.  Every loop
+    runs over nonzero entries only.
     """
-    da, db = a.rep.dim, b.rep.dim
-    diagonal: list[tuple[tuple[int | Fraction, ...], tuple[int | Fraction, ...]]] = []
-    general: list[tuple[Mat, Mat]] = []
-    for ka, kb in zip(a.h_action.intertwiner_constraints, b.h_action.intertwiner_constraints):
-        eigen_a, eigen_b = _diagonal(ka), _diagonal(kb)
-        if eigen_a is None or eigen_b is None:
-            general.append((ka, kb))
-        else:
-            diagonal.append((eigen_a, eigen_b))
-
-    cols_by_eigen: dict[tuple[int | Fraction, ...], list[int]] = {}
-    for c in range(da):
-        cols_by_eigen.setdefault(tuple(ea[c] for ea, _ in diagonal), []).append(c)
-    free = [(r, c) for r in range(db) for c in cols_by_eigen.get(tuple(eb[r] for _, eb in diagonal), ())]
+    da = a.rep.dim
+    free, general = _free_entries(a.h_action, b.h_action)
     var = {rc: k for k, rc in enumerate(free)}
-
-    rows: list[SparseRow] = []
-
-    def emit(coeffs: dict[int, Fraction]) -> None:
-        row = sorted((k, x) for k, x in coeffs.items() if x)
-        if row:
-            rows.append(tuple(row))
-
-    for ka, kb in general:
-        # f ka = kb f, one equation per output entry: variable f[r, c] enters
-        # equation (r, j) with ka[c, j] and equation (i, c) with -kb[i, r]
-        kb_cols = kb.transpose().sparse_rows
-        equations: dict[tuple[int, int], dict[int, Fraction]] = defaultdict(dict)
-        for k, (r, c) in enumerate(free):
-            for j, x in ka.sparse_rows[c]:
-                equations[r, j][k] = x
-            for i, x in kb_cols[r]:
-                equations[i, c][k] = equations[i, c].get(k, 0) - x
-        for coeffs in equations.values():
-            emit(coeffs)
-
+    rows = _constraint_rows(free, general)
     for fa, fb in zip(a.filtrations, b.filtrations):
         # one annihilator per step of fb, keyed by the step's position
         # (len(fb.steps) stands for the zero space past the last jump)
@@ -167,9 +174,12 @@ def _hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, list[int]]:
             for v_nonzero in step.sparse_rows:
                 if v_nonzero[0][0] in deeper:
                     continue
-                # annihilator rows of the target step kill f v
+                # annihilator rows of the target step kill f v; var grows
+                # with (r, c), so each row comes out sorted and zero-free
                 for u_nonzero in ann_rows:
-                    emit({var[r, c]: ur * vc for r, ur in u_nonzero for c, vc in v_nonzero if (r, c) in var})
+                    row = tuple([(var[r, c], ur * vc) for r, ur in u_nonzero for c, vc in v_nonzero if (r, c) in var])
+                    if row:
+                        rows.append(row)
 
     # every row is sorted, free of zeros and holds Fractions: stored form
     return _mat(len(rows), len(free), tuple(rows)), [r * da + c for r, c in free]
@@ -222,45 +232,17 @@ def _left_kernel_dim(a: FiltObject, triv: FiltObject) -> int:
     """hom_dim(a, triv) for a one-dimensional triv, when a's filtrations are
     coordinate flags, as cocharacter filtrations are.
 
-    A morphism is a row vector f with f (ka - lambda) = 0 for each pair
-    (ka, [[lambda]]) and f zero on a's step F(p0 + 1) of each filtration,
-    p0 the target's top jump; see the module docstring.
+    A morphism is a row vector f, zero on a's step F(p0 + 1) of each
+    filtration, p0 the target's top jump; that is the only flag condition,
+    and it drops coordinates.  The constraints are then pruned and written
+    as for the general system; see the module docstring.
     """
     _check_shapes(a, triv)
-    dropped: set[int] = set()
-    for fa, fb in zip(a.filtrations, triv.filtrations):
-        # F(p0 + 1) is the first stored step past p0, if any; the rows of a
-        # coordinate flag's step are unit vectors
-        top = fb.steps[-1][0]
-        step = next((sub for idx, sub in fa.steps if idx > top), None)
-        if step is not None:
-            dropped.update(row[0][0] for row in step.sparse_rows)
-    kept = [c for c in range(a.rep.dim) if c not in dropped]
-    general: list[tuple[Mat, Fraction]] = []
-    for ka, kb in zip(a.h_action.intertwiner_constraints, triv.h_action.intertwiner_constraints):
-        eigen, (lam,) = _diagonal(ka), _diagonal(kb)
-        if eigen is None:
-            general.append((ka, frac(lam)))
-        else:
-            kept = [c for c in kept if eigen[c] == lam]
-
-    # column j of f (ka - lambda): the kept rows' entries in column j, in the
-    # order of kept, so each equation is in stored form as it is appended;
-    # lambda comes off the diagonal entry of each kept row only
-    rows: list[SparseRow] = []
-    for ka, lam in general:
-        equations: dict[int, list[tuple[int, Fraction]]] = defaultdict(list)
-        for k, c in enumerate(kept):
-            shift = lam
-            for j, x in ka.sparse_rows[c]:
-                if j == c:
-                    x, shift = x - lam, 0
-                if x:
-                    equations[j].append((k, x))
-            if shift:
-                equations[c].append((k, -lam))
-        rows += [tuple(eq) for eq in equations.values()]
-    return len(kept) - rank(_mat(len(rows), len(kept), tuple(rows)))
+    # the rows of a coordinate flag's step are unit vectors
+    dropped = {row[0][0] for fa, fb in zip(a.filtrations, triv.filtrations) for row in fa.at(fb.jumps()[-1] + 1).sparse_rows}
+    free, general = _free_entries(a.h_action, triv.h_action, dropped)
+    rows = _constraint_rows(free, general)
+    return len(free) - rank(_mat(len(rows), len(free), tuple(rows)))
 
 
 def multiplicity(rep: RepData, spec: VarietySpec, style: str = H_STYLE_LIE_PLUS_ELEMENTS) -> int:

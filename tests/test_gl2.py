@@ -13,10 +13,9 @@ from multifilt.gl2 import (
     rep_from_label,
     restrict_to_diagonal,
     stabilizer_action_binary_forms,
-    sym_power_matrix,
     weights_of_label,
 )
-from multifilt.linalg import Mat, kernel, rank, vstack
+from multifilt.linalg import Mat, kernel, vstack
 
 
 def test_irrep_examples():
@@ -53,26 +52,6 @@ def test_lie_relations():
                         assert (rep.weights[i][0] - rep.weights[j][0], rep.weights[i][1] - rep.weights[j][1]) == (1, -1)
                     if f.at(i, j) != 0:
                         assert (rep.weights[i][0] - rep.weights[j][0], rep.weights[i][1] - rep.weights[j][1]) == (-1, 1)
-
-
-def test_sym_power_matrix_small():
-    g = Mat.from_rows([[1, 1], [0, 1]])
-    assert sym_power_matrix(g, 0) == Mat.identity(1)
-    assert sym_power_matrix(Mat.identity(2), 3) == Mat.identity(4)
-    assert sym_power_matrix(g, 2) == Mat.from_rows([[1, 2, 1], [0, 1, 1], [0, 0, 1]])
-
-
-def test_sym_power_matrix_homomorphism_random():
-    rng = random.Random(41)
-    for _ in range(40):
-        n = rng.randint(0, 3)
-        mats = []
-        while len(mats) < 2:
-            m = Mat.from_rows([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
-            if rank(m) == 2:
-                mats.append(m)
-        g, h = mats
-        assert sym_power_matrix(g @ h, n) == sym_power_matrix(g, n) @ sym_power_matrix(h, n)
 
 
 def test_dual():

@@ -1,14 +1,9 @@
-"""The integer elimination against its Fraction references, and the
-symmetric powers of integral and rational 2x2 matrices against their
-closed form, on randomized inputs."""
+"""The integer elimination against its Fraction references, on randomized
+inputs."""
 
 import random
 from fractions import Fraction
-from math import comb
 
-import pytest
-
-from multifilt.gl2 import sym_power_matrix
 from multifilt.linalg import Mat, Subspace, kernel, rank, rref, subspace_contains
 from reference_paths import reference_rref, reference_subspace_contains
 
@@ -89,40 +84,3 @@ def test_subspace_contains_agrees_with_reference():
                 outside = [x + (1 if j == free else 0) for j, x in enumerate(member)]
                 assert not subspace_contains(s, outside)
                 assert not reference_subspace_contains(s, outside)
-
-
-def _sym_power_closed_form(g: Mat, n: int) -> Mat:
-    """Entry (i, j) is the coefficient of x^(n-j) y^j in
-    (a x + b y)^(n-i) (c x + d y)^i, read off the two binomial expansions:
-    the sum over k of C(n-i, k) C(i, j-k) a^(n-i-k) b^k c^(i-j+k) d^(j-k)."""
-    a, b, c, d = g.at(0, 0), g.at(0, 1), g.at(1, 0), g.at(1, 1)
-    return Mat.from_rows(
-        [
-            [
-                sum(
-                    (
-                        comb(n - i, k) * comb(i, j - k) * a ** (n - i - k) * b**k * c ** (i - j + k) * d ** (j - k)
-                        for k in range(max(0, j - i), min(n - i, j) + 1)
-                    ),
-                    Fraction(0),
-                )
-                for j in range(n + 1)
-            ]
-            for i in range(n + 1)
-        ],
-        n + 1,
-    )
-
-
-@pytest.mark.parametrize("integral", [True, False])
-def test_sym_power_matrix_equals_fraction_reference(integral):
-    rng = random.Random(31 if integral else 37)
-    for _ in range(15):
-        if integral:
-            g = Mat.from_rows([[rng.randint(-9, 9) for _ in range(2)] for _ in range(2)])
-        else:
-            g = Mat.from_rows([[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)] for _ in range(2)])
-        for n in range(13):
-            got = sym_power_matrix(g, n)
-            assert got == _sym_power_closed_form(g, n)
-            assert all(type(x) is Fraction for x in got.entries)

@@ -3,10 +3,11 @@ filtration conditions and coordinate-flag filtrations against the plain
 constructions in reference_paths."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from multifilt import homspaces
+from multifilt import gl2, homspaces
 from multifilt.characters import label_weight_sum
 from multifilt.cli import _parse_label
 from multifilt.gl2 import (
@@ -20,7 +21,7 @@ from multifilt.gl2 import (
     stabilizer_action_binary_forms,
     weights_of_label,
 )
-from multifilt.homspaces import FiltObject, filt_object, grid_labels, hom_basis, hom_dim
+from multifilt.homspaces import FiltObject, filt_object, grid_labels, hom_basis, hom_dim, multiplicity
 from multifilt.linalg import Mat
 from multifilt.varieties import (
     BINARY_QUADRATIC_FORMS,
@@ -37,6 +38,7 @@ from reference_paths import (
     reference_hom_basis,
     reference_hom_dim,
     reference_matrix_variety_stabilizer,
+    reference_multiplicity,
     reference_per_jump_hom_system,
 )
 from test_stored_form import _assert_echelon_steps, _assert_stored_form
@@ -117,6 +119,78 @@ def test_one_solve_per_call_even_when_empty(monkeypatch):
     a, b = _object([_diag(1, 1)]), _object([_diag(2, 2, 2)])
     assert hom_dim(a, b) == 0 and hom_basis(a, b) == []
     assert seen == [("rank", 0), ("kernel", 0)]
+
+
+def _entry_by_entry_diagonals(m):
+    if any(m.at(i, j) for i in range(m.rows) for j in range(m.cols) if i != j):
+        return None
+    return tuple(m.at(i, i) for i in range(m.rows))
+
+
+def test_diagonals_read_each_constraint_as_its_entries_do():
+    rng = random.Random(16)
+    values = (0, 0, 1, -2, 300, Fraction(3, 7), Fraction(-5, 2))
+    seen = set()
+    for _ in range(300):
+        dim = rng.randint(0, 5)
+        constraints = []
+        for _ in range(rng.randint(0, 3)):
+            off = rng.random() < 0.4
+            rows = [[rng.choice(values) if i == j or (off and rng.random() < 0.2) else 0 for j in range(dim)] for i in range(dim)]
+            constraints.append(Mat.from_rows(rows, dim))
+        got = GroupActionData(dim, tuple(constraints)).diagonals
+        assert got == tuple(map(_entry_by_entry_diagonals, constraints))
+        assert all(type(x) is (int if x.denominator == 1 else Fraction) for eigen in got if eigen for x in eigen)
+        seen.update(("zero" if dim == 0 else "none" if e is None else "diagonal") for e in got)
+    assert seen == {"zero", "none", "diagonal"}
+    assert GroupActionData(0, (Mat.zero(0, 0),)).diagonals == ((),)
+    assert GroupActionData(2, (Mat.zero(2, 2),)).diagonals == ((0, 0),)
+
+
+def test_constraints_are_classified_once_per_group_action_data(monkeypatch):
+    # every object is built, and its constraints classified, before the
+    # classifier is replaced; the kept trivial objects are built by a first
+    # multiplicity call per example and style
+    rng = random.Random(1616)
+    specs = {"GL2": builtin_variety(BINARY_QUADRATIC_FORMS), "GL2xGL2": builtin_variety(TWO_BY_TWO_MATRICES)}
+    cells = [("GL2", label) for label in grid_labels("GL2", range(0, 9), range(-6, 7))]
+    cells += [("GL2xGL2", label) for label in grid_labels("GL2xGL2", range(0, 5), range(-2, 4))]
+    cells += [("GL2xGL2", ((n, 1), (n, 1))) for n in range(0, 13)]
+    pairs = [random_filt_object_pair(rng, max_dim=4) for _ in range(60)]
+    kept = []
+    for style in H_STYLES:
+        for group, spec in specs.items():
+            multiplicity(rep_from_label(group, (0, 0) if group == "GL2" else ((0, 0), (0, 0))), spec, style)
+            kept.append(spec._trivial[style])
+            pairs += [(filt_object(rep_from_label(group, label), spec, style), kept[-1]) for g, label in cells[::9] if g == group]
+    expected_homs = [(reference_hom_dim(a, b), reference_hom_basis(a, b)) for a, b in pairs]
+    expected_cells = [reference_multiplicity(rep_from_label(group, label), specs[group], style) for style in H_STYLES for group, label in cells]
+    for a, b in pairs:
+        a.h_action.diagonals, b.h_action.diagonals
+
+    real_diagonal = gl2._diagonal
+    monkeypatch.setattr(gl2, "_diagonal", lambda m: pytest.fail("a classified constraint was classified again"))
+    assert [(hom_dim(a, b), hom_basis(a, b)) for a, b in pairs] == expected_homs
+
+    # a cell's own object is new, so its constraints are classified, once
+    # each; the kept trivial object's never are
+    kept_constraints = [k for triv in kept for k in triv.h_action.intertwiner_constraints]
+    calls = []
+
+    def classify(m):
+        assert not any(m is k for k in kept_constraints), "the kept trivial object was classified again"
+        calls.append(m)
+        return real_diagonal(m)
+
+    monkeypatch.setattr(gl2, "_diagonal", classify)
+    got = []
+    for style in H_STYLES:
+        for group, label in cells:
+            rep = rep_from_label(group, label)
+            before = len(calls)
+            got.append(multiplicity(rep, specs[group], style))
+            assert len(calls) - before == len(specs[group].stabilizer_action(rep, style).intertwiner_constraints)
+    assert got == expected_cells
 
 
 def _assert_filtration_matches(rep, mu):
