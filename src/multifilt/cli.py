@@ -11,13 +11,13 @@ import argparse
 import json
 import sys
 from math import prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import serialize
 from .characters import oracle_degrees, oracle_multiplicity
 from .filtration import associated_graded
 from .gl2 import GROUP_FACTORS, H_STYLE_LIE_PLUS_ELEMENTS, H_STYLES, label_dim, label_factors, label_from_factors, rep_from_label
-from .homspaces import grid_labels, hom_dim, multiplicity, multiplicity_table
+from .homspaces import grid_labels, hom_dim, multiplicity_table
 from .rees import derees, rees_construct
 from .varieties import (
     BINARY_QUADRATIC_FORMS,
@@ -156,7 +156,7 @@ def _check_oracle_degree(spec, labels: list[object], max_degree: int | None, wha
 
 
 def _parse_grid(text: str) -> dict[str, range]:
-    out = {}
+    pieces = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
@@ -164,14 +164,17 @@ def _parse_grid(text: str) -> dict[str, range]:
         try:
             key, span = piece.split("=")
             lo, hi = span.split("..")
-            out[key.strip()] = range(int(lo), int(hi) + 1)
+            pieces.append((key.strip(), range(int(lo), int(hi) + 1)))
         except ValueError:
             raise CliError(f"bad grid component {piece!r}: expected 'name=lo..hi'") from None
+    out = dict(pieces)
     for key in out:
         if key not in ("n", "m", "n2", "m2"):
             raise CliError(f"unknown grid variable {key!r}")
     if "n" not in out or "m" not in out:
         raise CliError("grid needs at least n=lo..hi and m=lo..hi")
+    if len(out) < len(pieces):
+        raise CliError(f"grid {text!r} names a variable twice")
     return out
 
 
@@ -186,14 +189,26 @@ def _load_variety(args: argparse.Namespace):
     return builtin_variety(name)
 
 
-def _grid_from_args(spec_group: str, args: argparse.Namespace, bounded: bool = False) -> list[object]:
+def _read_labels(spec, args: argparse.Namespace, bounded: bool = False) -> tuple[list[object], str]:
+    """The sorted labels of --label or --grid, each fitting spec's group, and
+    how an error names them.  bounded applies MAX_REP_DIM, to a grid before
+    any of its labels is made."""
+    if args.label is not None:
+        what = f"label {args.label!r}"
+        label = _parse_label(args.label)
+        _check_label_shape(spec.group, label, what)
+        if bounded:
+            _check_rep_dim(label, what)
+        return [label], what
+    if args.grid is None:
+        raise CliError(f"{args.command} needs --label or --grid")
     ranges = _parse_grid(args.grid)
     what = f"grid {args.grid!r}"
-    factors = GROUP_FACTORS.get(spec_group)
+    factors = GROUP_FACTORS.get(spec.group)
     if factors is None:
-        raise CliError(f"no labeled grid for group {spec_group!r}")
+        raise CliError(f"no labeled grid for group {spec.group!r}")
     if factors == 1 and ("n2" in ranges or "m2" in ranges):
-        raise CliError(f"{what} does not fit group {spec_group}: expected only n and m")
+        raise CliError(f"{what} does not fit group {spec.group}: expected only n and m")
     n, m = ranges["n"], ranges["m"]
     spans = [(n, m), (ranges.get("n2", n), ranges.get("m2", m))][:factors]
     cells = prod(len(ns) * len(ms) for ns, ms in spans)
@@ -202,35 +217,30 @@ def _grid_from_args(spec_group: str, args: argparse.Namespace, bounded: bool = F
     if bounded and all(ns for ns, _ in spans):
         # the largest n (and n2) gives the grid's largest representation
         _check_rep_dim(label_from_factors([(ns[-1], 0) for ns, _ in spans]), what)
-    return grid_labels(spec_group, n, m, ranges.get("n2"), ranges.get("m2"))
+    return sorted(grid_labels(spec.group, n, m, ranges.get("n2"), ranges.get("m2"))), what
 
 
-def _print_table(rows: list[tuple[object, int]], fmt: str, group: str) -> None:
-    if fmt == "json":
+def _print_rows(args: argparse.Namespace, group: str, rows: list[tuple[object, int]]) -> None:
+    """A bare multiplicity for --label, the table for --grid."""
+    if args.label is not None:
+        print(rows[0][1])
+    elif args.format == "json":
         print(serialize.dumps([{"label": label, "multiplicity": mult} for label, mult in rows]))
-        return
-    factors = GROUP_FACTORS[group]
-    print("\t".join(("n", "m", "n2", "m2")[: 2 * factors]) + "\tmultiplicity")
-    for label, mult in rows:
-        print(*(c for factor in label_factors(label) for c in factor), mult, sep="\t")
+    else:
+        print("\t".join(("n", "m", "n2", "m2")[: 2 * GROUP_FACTORS[group]]) + "\tmultiplicity")
+        for label, mult in rows:
+            print(*(c for factor in label_factors(label) for c in factor), mult, sep="\t")
 
 
-def _cmd_rees(args: argparse.Namespace) -> int:
-    fs = serialize.filtered_space_from_json(_read_json(args.input))
-    print(serialize.dumps(serialize.graded_module_to_json(rees_construct(fs))))
-    return 0
+def _json_command(decode: Callable, compute: Callable, encode: Callable) -> Callable[[argparse.Namespace], int]:
+    """The command that reads its JSON input with decode, applies compute,
+    and prints the JSON that encode makes of the result."""
 
+    def run(args: argparse.Namespace) -> int:
+        print(serialize.dumps(encode(compute(decode(_read_json(args.input))))))
+        return 0
 
-def _cmd_derees(args: argparse.Namespace) -> int:
-    module = serialize.graded_module_from_json(_read_json(args.input))
-    print(serialize.dumps(serialize.filtered_space_to_json(derees(module))))
-    return 0
-
-
-def _cmd_gr(args: argparse.Namespace) -> int:
-    fs = serialize.filtered_space_from_json(_read_json(args.input))
-    print(serialize.dumps(serialize.graded_space_to_json(associated_graded(fs))))
-    return 0
+    return run
 
 
 def _cmd_filtration(args: argparse.Namespace) -> int:
@@ -272,33 +282,16 @@ def _cmd_hom_dim(args: argparse.Namespace) -> int:
 
 def _cmd_multiplicity(args: argparse.Namespace) -> int:
     spec = _load_variety(args)
-    if args.label is not None:
-        label = _parse_label(args.label)
-        _check_label_shape(spec.group, label, f"label {args.label!r}")
-        _check_rep_dim(label, f"label {args.label!r}")
-        print(multiplicity(rep_from_label(spec.group, label), spec, args.h_style))
-        return 0
-    if args.grid is None:
-        raise CliError("multiplicity needs --label or --grid")
-    rows = multiplicity_table(spec, _grid_from_args(spec.group, args, bounded=True), args.h_style)
-    _print_table(rows, args.format, spec.group)
+    labels, _ = _read_labels(spec, args, bounded=True)
+    _print_rows(args, spec.group, multiplicity_table(spec, labels, args.h_style))
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     spec = _load_variety(args)
-    if args.label is not None:
-        label = _parse_label(args.label)
-        _check_label_shape(spec.group, label, f"label {args.label!r}")
-        _check_oracle_degree(spec, [label], args.max_degree, f"label {args.label!r}")
-        print(oracle_multiplicity(spec, label, args.max_degree))
-        return 0
-    if args.grid is None:
-        raise CliError("oracle needs --label or --grid")
-    labels = sorted(_grid_from_args(spec.group, args))
-    _check_oracle_degree(spec, labels, args.max_degree, f"grid {args.grid!r}")
-    rows = [(label, oracle_multiplicity(spec, label, args.max_degree)) for label in labels]
-    _print_table(rows, args.format, spec.group)
+    labels, what = _read_labels(spec, args)
+    _check_oracle_degree(spec, labels, args.max_degree, what)
+    _print_rows(args, spec.group, [(label, oracle_multiplicity(spec, label, args.max_degree)) for label in labels])
     return 0
 
 
@@ -319,15 +312,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--h-style", choices=H_STYLES, default=H_STYLE_LIE_PLUS_ELEMENTS, help="stabilizer constraint style")
     sub = parser.add_subparsers(dest="command")
 
-    for name, fn, needs_input in (
-        ("rees", _cmd_rees, True),
-        ("derees", _cmd_derees, True),
-        ("gr", _cmd_gr, True),
-        ("hom-dim", _cmd_hom_dim, True),
+    for name, fn in (
+        ("rees", _json_command(serialize.filtered_space_from_json, rees_construct, serialize.graded_module_to_json)),
+        ("derees", _json_command(serialize.graded_module_from_json, derees, serialize.filtered_space_to_json)),
+        ("gr", _json_command(serialize.filtered_space_from_json, associated_graded, serialize.graded_space_to_json)),
+        ("hom-dim", _cmd_hom_dim),
     ):
         p = sub.add_parser(name)
-        if needs_input:
-            p.add_argument("input", nargs="?", default="-", help="JSON file or - for stdin")
+        p.add_argument("input", nargs="?", default="-", help="JSON file or - for stdin")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("filtration")

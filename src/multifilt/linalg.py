@@ -114,7 +114,7 @@ class Mat:
         _check_shape(rows, cols)
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
-        sparse = tuple(_nonzeros(entries[i * cols : (i + 1) * cols]) for i in range(rows))
+        sparse = tuple(_nonzeros(vector(entries[i * cols : (i + 1) * cols])) for i in range(rows))
         _init_mat(self, rows, cols, sparse)
 
     @staticmethod

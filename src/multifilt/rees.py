@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .filtration import FilteredSpace, GradedVectorSpace, adapted_basis
 from .linalg import AmbientMismatch, SparseRow, Vector, _extend_echelon, _nonzeros, _subspace, check_dim, vector
@@ -41,7 +41,7 @@ class GradedFreeModule:
 
     @staticmethod
     def of(ambient_dim: int, generators) -> "GradedFreeModule":
-        return GradedFreeModule(ambient_dim, tuple((vector(v), int(d)) for v, d in generators))
+        return GradedFreeModule(ambient_dim, tuple((vector(v), index(d)) for v, d in generators))
 
 
 def rees_construct(fs: FilteredSpace) -> GradedFreeModule:

@@ -84,6 +84,18 @@ def matrix_from_json(value: Any, path: str) -> Mat:
     return Mat.from_rows(rows)
 
 
+def _int_rows(value: Any, path: str) -> tuple[tuple[int, ...], ...]:
+    """A JSON list of integer rows; an entry's fault is reported at its row."""
+    return tuple(
+        tuple(_expect_int(c, f"{path}[{i}]") for c in _expect_list(row, f"{path}[{i}]"))
+        for i, row in enumerate(_expect_list(value, path))
+    )
+
+
+def _matrices(value: Any, path: str) -> tuple[Mat, ...]:
+    return tuple(matrix_from_json(m, f"{path}[{i}]") for i, m in enumerate(_expect_list(value, path)))
+
+
 def filtered_space_to_json(fs: FilteredSpace) -> dict:
     return {
         "dim": fs.dim,
@@ -99,6 +111,8 @@ def filtered_space_from_json(value: Any, path: str = "$") -> FilteredSpace:
         sp = f"{path}.steps[{i}]"
         step = _expect_object(step, sp)
         idx = _expect_int(step.get("index"), f"{sp}.index")
+        if idx in steps:
+            raise InputError(f"{sp}.index", f"step index {idx} is repeated")
         basis = [vector_from_json(v, f"{sp}.basis[{j}]") for j, v in enumerate(_expect_list(step.get("basis"), f"{sp}.basis"))]
         try:
             steps[idx] = Subspace.span(dim, basis)
@@ -156,11 +170,8 @@ def _rep_reader(value: Any, path: str) -> tuple[int, Callable[[], RepData]]:
             raise InputError(f"{path}.label", str(exc)) from None
         return label_dim(label), lambda: rep_from_label(group, label)
     dim = _expect_dim(obj.get("dim"), f"{path}.dim")
-    weights = tuple(
-        tuple(_expect_int(c, f"{path}.weights[{i}]") for c in _expect_list(w, f"{path}.weights[{i}]"))
-        for i, w in enumerate(_expect_list(obj.get("weights"), f"{path}.weights"))
-    )
-    ops = tuple(matrix_from_json(op, f"{path}.ops[{i}]") for i, op in enumerate(_expect_list(obj.get("ops", []), f"{path}.ops")))
+    weights = _int_rows(obj.get("weights"), f"{path}.weights")
+    ops = _matrices(obj.get("ops", []), f"{path}.ops")
     try:
         rep = RepData(dim, weights, ops)
     except ValueError as exc:
@@ -171,10 +182,7 @@ def _rep_reader(value: Any, path: str) -> tuple[int, Callable[[], RepData]]:
 def group_action_from_json(value: Any, path: str = "$") -> GroupActionData:
     obj = _expect_object(value, path)
     dim = _expect_dim(obj.get("dim"), f"{path}.dim")
-    mats = tuple(
-        matrix_from_json(m, f"{path}.intertwiner_constraints[{i}]")
-        for i, m in enumerate(_expect_list(obj.get("intertwiner_constraints", []), f"{path}.intertwiner_constraints"))
-    )
+    mats = _matrices(obj.get("intertwiner_constraints", []), f"{path}.intertwiner_constraints")
     try:
         return GroupActionData(dim, mats)
     except ValueError as exc:
@@ -208,20 +216,12 @@ def filt_object_reader(value: Any, path: str = "$") -> tuple[int, Callable[[], F
 def custom_variety_from_json(value: Any, path: str = "$") -> VarietySpec:
     obj = _expect_object(value, path)
     rank_ = _expect_int(obj.get("group_rank"), f"{path}.group_rank")
-    cochars = [
-        [_expect_int(c, f"{path}.cocharacters[{i}]") for c in _expect_list(mu, f"{path}.cocharacters[{i}]")]
-        for i, mu in enumerate(_expect_list(obj.get("cocharacters", []), f"{path}.cocharacters"))
-    ]
-    weights = [
-        [_expect_int(c, f"{path}.x_module_weights[{i}]") for c in _expect_list(w, f"{path}.x_module_weights[{i}]")]
-        for i, w in enumerate(_expect_list(obj.get("x_module_weights", []), f"{path}.x_module_weights"))
-    ]
-    ops_table = {}
-    for key, mats in _expect_object(obj.get("stabilizer_ops", {}), f"{path}.stabilizer_ops").items():
-        ops_table[key] = [
-            matrix_from_json(m, f"{path}.stabilizer_ops[{key!r}][{i}]")
-            for i, m in enumerate(_expect_list(mats, f"{path}.stabilizer_ops[{key!r}]"))
-        ]
+    cochars = _int_rows(obj.get("cocharacters", []), f"{path}.cocharacters")
+    weights = _int_rows(obj.get("x_module_weights", []), f"{path}.x_module_weights")
+    ops_table = {
+        key: _matrices(mats, f"{path}.stabilizer_ops[{key!r}]")
+        for key, mats in _expect_object(obj.get("stabilizer_ops", {}), f"{path}.stabilizer_ops").items()
+    }
     group = obj.get("group", "generic")
     if group not in ["generic", *GROUP_FACTORS]:
         raise InputError(f"{path}.group", f"unknown group {group!r}")

@@ -40,7 +40,7 @@ Conventions pinned by the built-ins (printed by the CLI as well):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
+from operator import index, mul
 from typing import Callable, Mapping, Sequence
 
 from .filtration import FilteredSpace
@@ -217,8 +217,8 @@ def custom_variety(
         name=CUSTOM,
         group=group,
         rank=rank,
-        boundary_cocharacters=tuple(tuple(int(c) for c in mu) for mu in cocharacters),
-        x_module_weights=tuple(tuple(int(c) for c in w) for w in x_module_weights),
+        boundary_cocharacters=tuple(tuple(map(index, mu)) for mu in cocharacters),
+        x_module_weights=tuple(tuple(map(index, w)) for w in x_module_weights),
         stabilizer=recipe,
     )
 

@@ -137,6 +137,15 @@ def check_graded_comparison(count: int = ROUND_TRIP_COUNT, seed: int = DEFAULT_S
     return _filtration_claim("graded fiber comparison", count, seed, fault, summary)
 
 
+def _tally(name: str, total: int, bad: list[str], summary: str, faults: str, start: float) -> ClaimResult:
+    """A claim over total instances, of which bad describes the failing ones:
+    "k/n summary", then the first few faults when any fail."""
+    detail = f"{total - len(bad)}/{total} {summary}"
+    if bad:
+        detail += f"; first {faults}: " + "; ".join(bad[:4])
+    return ClaimResult(name, not bad, detail, time.perf_counter() - start)
+
+
 def _table_claim(name: str, variety: str, labels: list, indicator: Callable[..., int], rule: str, style: str) -> ClaimResult:
     """Every cell of a table: the Hom solver, the oracle and the closed-form
     indicator must agree."""
@@ -149,10 +158,7 @@ def _table_claim(name: str, variety: str, labels: list, indicator: Callable[...,
         expected = indicator(*label)
         if not (hom == oracle == expected):
             bad.append(f"{label}: hom={hom} oracle={oracle} expected={expected}")
-    detail = f"{len(labels) - len(bad)}/{len(labels)} cells: hom = oracle = {rule}"
-    if bad:
-        detail += "; first mismatches: " + "; ".join(bad[:4])
-    return ClaimResult(name, not bad, detail, time.perf_counter() - start)
+    return _tally(name, len(labels), bad, f"cells: hom = oracle = {rule}", "mismatches", start)
 
 
 def check_binary_forms_table(style: str = H_STYLE_LIE_PLUS_ELEMENTS) -> ClaimResult:
@@ -218,10 +224,8 @@ def check_clebsch_gordan() -> ClaimResult:
                         expected[lab] = expected.get(lab, 0) + 1
                     if decompose(tensor) != expected:
                         bad.append(f"decomposition mismatch at ({n},{m})x({np_},{mp})")
-    detail = f"{total - len(bad)}/{total} products: dimensions conserved and decomposition matches the oracle"
-    if bad:
-        detail += "; first mismatches: " + "; ".join(bad[:4])
-    return ClaimResult("tensor decomposition conservation", not bad, detail, time.perf_counter() - start)
+    summary = "products: dimensions conserved and decomposition matches the oracle"
+    return _tally("tensor decomposition conservation", total, bad, summary, "mismatches", start)
 
 
 def check_hom_properties(count: int = HOM_PROPERTY_COUNT, seed: int = DEFAULT_SEED) -> ClaimResult:
@@ -245,10 +249,8 @@ def check_hom_properties(count: int = HOM_PROPERTY_COUNT, seed: int = DEFAULT_SE
             if later > earlier:
                 bad.append(f"instance {k}: constraint chain not monotone: {dims}")
                 break
-    detail = f"{count - len(bad)}/{count} instances: identity present and constraints monotone"
-    if bad:
-        detail += "; first failures: " + "; ".join(bad[:4])
-    return ClaimResult("hom identity and monotonicity", not bad, detail, time.perf_counter() - start)
+    summary = "instances: identity present and constraints monotone"
+    return _tally("hom identity and monotonicity", count, bad, summary, "failures", start)
 
 
 def run_all(style: str = H_STYLE_LIE_PLUS_ELEMENTS) -> list[ClaimResult]:

@@ -69,3 +69,22 @@ def test_failing_claims_report_their_first_failures(monkeypatch):
     monkeypatch.setattr(verify, "fiber_at_zero", lambda module: GradedVectorSpace(((99, 1),)))
     result = check_graded_comparison(count=3)
     assert not result.passed and result.detail.startswith("instance 0: fiber ((99, 1),) vs graded ")
+
+
+def test_tensor_and_hom_claims_report_their_first_failures(monkeypatch):
+    from multifilt import verify
+
+    monkeypatch.setattr(verify, "decompose", lambda tensor: {})
+    result = check_clebsch_gordan()
+    assert not result.passed
+    assert result.detail == (
+        "0/1225 products: dimensions conserved and decomposition matches the oracle; first mismatches: "
+        + "; ".join(f"decomposition mismatch at (0,{m})x(0,{mp})" for m, mp in ((-2, -2), (-2, -1), (-2, 0), (-2, 1)))
+    )
+    monkeypatch.setattr(verify, "hom_dim", lambda a, b: 0)
+    result = check_hom_properties(count=5)
+    assert not result.passed
+    assert result.detail == (
+        "0/5 instances: identity present and constraints monotone; first failures: "
+        + "; ".join(f"instance {k}: hom_dim(a, a) = 0" for k in range(4))
+    )

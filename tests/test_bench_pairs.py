@@ -107,7 +107,7 @@ def test_peak_rss_fit_needs_two_attempted_counts():
     assert same["peak_rss_fit"] is None
     # memory that never moves has a flat line and no correlation
     flat = bench_pairs.summarize(_pairs([(400.0, 26.0, 0, 100)], [(500.0, 26.0, 0, 150)]), END_TO_END)["peak_rss_fit"]
-    assert flat == {"mb_per_1000_ops": 0.0, "intercept_mb": 26.0, "r": None, "change_shift_mb": None}
+    assert flat == {"mb_per_1000_ops": 0.0, "intercept_mb": 26.0, "r": None}
 
 
 def test_rss_headroom_is_the_bound_over_the_base_median_in_fitted_ops():
@@ -131,25 +131,6 @@ def test_rss_headroom_needs_a_rising_fit_and_a_memory_metric():
     rising = _pairs([(400.0, 26.0, 0, 100)], [(500.0, 27.0, 0, 150)])
     assert bench_pairs.summarize(rising, END_TO_END)["rss_headroom_ops"] > 0
     assert bench_pairs.summarize(rising, END_TO_END[:1])["rss_headroom_ops"] is None
-
-
-def test_change_shift_is_the_gap_between_intercepts_at_one_slope():
-    # base runs on rss = 20 + 0.2 MB per 1000 ops, change runs 0.4 MB above
-    # that line at more ops: the pooled line over both sides would mistake
-    # pass count for a shift and the shift for slope
-    base = [(400.0, 20.0 + 0.2 * ops / 1000, 0, ops) for ops in (4000, 5000, 6000)]
-    change = [(500.0, 20.4 + 0.2 * ops / 1000, 0, ops) for ops in (9000, 10000, 12000)]
-    fit = bench_pairs.summarize(_pairs(base, change), END_TO_END)["peak_rss_fit"]
-    assert fit["change_shift_mb"] == pytest.approx(0.4)
-    assert fit["mb_per_1000_ops"] != pytest.approx(0.2)
-    # noise around each side's line leaves the common slope's shift near it
-    jitter = [(400.0, 20.0 + 0.2 * ops / 1000 + e, 0, ops) for ops, e in ((4000, 0.05), (5000, -0.05), (6000, 0.0))]
-    shifted = bench_pairs.summarize(_pairs(jitter, change), END_TO_END)["peak_rss_fit"]
-    assert shifted["change_shift_mb"] == pytest.approx(0.4, abs=0.05)
-    # one attempted count on a side leaves the slope of that side unknown
-    single = [(500.0, 22.0, 0, 9000)] * 3
-    assert bench_pairs.summarize(_pairs(base, single), END_TO_END)["peak_rss_fit"]["change_shift_mb"] is None
-    assert bench_pairs.change_shift(_pairs(single, base)) is None
 
 
 def test_rss_headroom_share_is_the_headroom_over_the_base_median_ops():

@@ -371,3 +371,22 @@ def test_negative_dimensions_are_input_errors(tmp_path, capsys):
         code, out, err = _run(capsys, [*command, str(file)])
         assert code == 2 and out == ""
         assert f"{path}: dimension -" in err and "is negative" in err
+
+
+def test_grid_naming_a_variable_twice_rejected(capsys):
+    for command in ("multiplicity", "oracle"):
+        code, out, err = _run(capsys, [command, "--variety", "BinaryQuadraticForms", "--grid", "n=0..1,n=5..6,m=0..0"])
+        assert code == 2 and out == ""
+        assert err == "input error: grid 'n=0..1,n=5..6,m=0..0' names a variable twice\n"
+    code, out, err = _run(capsys, ["oracle", "--variety", "TwoByTwoMatrices", "--grid", "n=0..1,m=0..0,m2=0..0,m2=1..1"])
+    assert code == 2 and out == "" and "names a variable twice" in err
+
+
+def test_repeated_step_index_rejected(tmp_path, capsys):
+    path = tmp_path / "fs.json"
+    steps = [{"index": 0, "basis": [["1", "0"], ["0", "1"]]}, {"index": 1, "basis": [["1", "0"]]}, {"index": 1, "basis": [["0", "1"]]}]
+    path.write_text(json.dumps({"dim": 2, "steps": steps}))
+    for command in ("gr", "rees"):
+        code, out, err = _run(capsys, [command, str(path)])
+        assert code == 2 and out == ""
+        assert err == "input error: $.steps[2].index: step index 1 is repeated\n"

@@ -80,3 +80,47 @@ def test_custom_variety_from_json():
     assert spec.boundary_cocharacters == ((1, 0),)
     with pytest.raises(serialize.InputError):
         serialize.custom_variety_from_json({"group_rank": 2, "cocharacters": [[1, 0, 0]]})
+
+
+def test_repeated_step_index_is_rejected_at_its_step():
+    full, e1, e2 = [["1", "0"], ["0", "1"]], [["1", "0"]], [["0", "1"]]
+    steps = [{"index": 0, "basis": full}, {"index": 1, "basis": e1}, {"index": 1, "basis": e2}]
+    with pytest.raises(serialize.InputError) as info:
+        serialize.filtered_space_from_json({"dim": 2, "steps": steps})
+    assert info.value.path == "$.steps[2].index"
+    assert str(info.value) == "$.steps[2].index: step index 1 is repeated"
+    # the same index on the same subspace is a repeat too
+    with pytest.raises(serialize.InputError, match=r"\$\.a\.steps\[1\]\.index"):
+        serialize.filtered_space_from_json({"dim": 2, "steps": [steps[0], steps[0]]}, "$.a")
+    # distinct indices still read
+    fs = serialize.filtered_space_from_json({"dim": 2, "steps": steps[:2]})
+    assert [idx for idx, _ in fs.steps] == [0, 1]
+
+
+def test_list_readers_keep_their_breadcrumbs():
+    objects = {
+        "rep": {"dim": 1, "weights": [[0, 0]], "ops": []},
+        "h_action": {"dim": 1, "intertwiner_constraints": []},
+        "filtrations": [],
+    }
+    cases = [
+        ({**objects, "rep": {"dim": 1, "weights": [[0, "x"]]}}, "$.rep.weights[0]: expected an integer"),
+        ({**objects, "rep": {"dim": 1, "weights": [5]}}, "$.rep.weights[0]: expected a list"),
+        ({**objects, "rep": {"dim": 1, "weights": [[0, 0]], "ops": [[["1"]], [["x"]]]}}, "$.rep.ops[1][0][0]: bad rational"),
+        ({**objects, "h_action": {"dim": 1, "intertwiner_constraints": [[["1"]], 3]}}, "$.h_action.intertwiner_constraints[1]: expected a list"),
+    ]
+    for payload, message in cases:
+        with pytest.raises(serialize.InputError) as info:
+            serialize.filt_object_from_json(payload)
+        assert str(info.value).startswith(message)
+    variety = {"group_rank": 2, "group": "GL2", "cocharacters": [[1, 0]], "x_module_weights": [[-2, 0], [-1, -1], [0, -2]]}
+    cases = [
+        ({**variety, "cocharacters": [[1, 0], [1, 0.5]]}, "$.cocharacters[1]: expected an integer"),
+        ({**variety, "x_module_weights": [[-2, 0], "w"]}, "$.x_module_weights[1]: expected a list"),
+        ({**variety, "stabilizer_ops": {"2,0": [[["1"]], [["1", "y"]]]}}, "$.stabilizer_ops['2,0'][1][0][1]: bad rational"),
+        ({**variety, "stabilizer_ops": {"2,0": 7}}, "$.stabilizer_ops['2,0']: expected a list"),
+    ]
+    for payload, message in cases:
+        with pytest.raises(serialize.InputError) as info:
+            serialize.custom_variety_from_json(payload)
+        assert str(info.value).startswith(message)

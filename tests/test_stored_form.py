@@ -154,3 +154,31 @@ def test_hom_systems_are_in_stored_form(monkeypatch):
     assert len(seen) == len(cells) and any(m.rows for m in seen)
     for m in seen:
         _assert_sorted_fractions(m)
+
+
+def test_no_float_or_string_is_stored_raw():
+    from multifilt.rees import GradedFreeModule
+    from multifilt.varieties import custom_variety
+
+    m = Mat(1, 2, ["1/2", 3])
+    assert m == Mat.from_rows([["1/2", 3]])
+    assert m.sparse_rows == (((0, Fraction(1, 2)), (1, Fraction(3))),)
+    assert all(type(x) is Fraction for row in m.sparse_rows for _, x in row)
+    assert m.sparse_rows[0][1][1] is linalg._SMALL[3]
+    assert linalg.rank(Mat(1, 1, ["1/2"])) == 1
+    ints = Mat(2, 2, [0, 1, -256, 257])
+    assert [x for row in ints.sparse_rows for _, x in row] == [1, -256, 257]
+    assert ints.sparse_rows[0][0][1] is linalg._ONE and ints.sparse_rows[1][0][1] is linalg._SMALL[-256]
+    assert type(ints.sparse_rows[1][1][1]) is Fraction
+    with pytest.raises(TypeError):
+        Mat(1, 1, [0.5])
+    with pytest.raises(TypeError):
+        custom_variety(2, [[1.5, 0]], [[-2, 0]])
+    with pytest.raises(TypeError):
+        custom_variety(2, [[1, 0]], [[-2.0, 0]])
+    with pytest.raises(TypeError):
+        GradedFreeModule.of(1, [((1,), 1.5)])
+    # integers still pass, as ints
+    spec = custom_variety(2, [[True, 0]], [[-2, 0]])
+    assert spec.boundary_cocharacters == ((1, 0),) and type(spec.boundary_cocharacters[0][0]) is int
+    assert GradedFreeModule.of(1, [((1,), 2)]).generators == (((Fraction(1),), 2),)

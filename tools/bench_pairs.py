@@ -23,13 +23,12 @@ tied, the relative change of the medians, and whether that change stays
 within the metric's bound.  It also holds, per workload, the straight line
 ``peak_rss_mb = a + b * attempted`` fitted over all runs of both sides, so
 that the share of a memory change that comes from pass count alone can be
-read off the data, and the memory the change adds at equal ops attempted:
-the gap between the two sides' intercepts under one common slope; and the
-memory headroom, the extra ops per run at which that line climbs by the
-``peak_rss_mb`` bound over the base median, in ops and as a share of the
-base side's median ops attempted, so that a speed-up can be sized against
-the memory bound before it is built.  While it runs, each pair prints one
-line to stderr with both sides' ``ops_per_s`` and ``peak_rss_mb``.
+read off the data; and the memory headroom, the extra ops per run at which
+that line climbs by the ``peak_rss_mb`` bound over the base median, in ops
+and as a share of the base side's median ops attempted, so that a speed-up
+can be sized against the memory bound before it is built.  While it runs,
+each pair prints one line to stderr with both sides' ``ops_per_s`` and
+``peak_rss_mb``.
 """
 
 from __future__ import annotations
@@ -73,37 +72,17 @@ def _ops_and_rss(runs: list[dict]) -> tuple[list[int], list[float]]:
     return [r["attempted"] for r in runs], [r["metrics"]["peak_rss_mb"]["value"] for r in runs]
 
 
-def change_shift(pairs: list[tuple[dict, dict]]) -> float | None:
-    """The memory the change adds at equal ops attempted, in MB.
-
-    One common slope and one intercept per side: each side's runs are
-    centred on their own means, the slope is the least-squares line through
-    the origin of the pooled centred runs, and the shift is the change
-    side's intercept minus the base side's.  None when either side attempted
-    fewer than two distinct counts."""
-    sides = [_ops_and_rss([p[k] for p in pairs]) for k in range(len(SIDES))]
-    if any(len(set(ops)) < 2 for ops, _ in sides):
-        return None
-    means = [(statistics.fmean(ops), statistics.fmean(rss)) for ops, rss in sides]
-    dx = [x - mx for (ops, _), (mx, _) in zip(sides, means) for x in ops]
-    dy = [y - my for (_, rss), (_, my) in zip(sides, means) for y in rss]
-    slope, _ = statistics.linear_regression(dx, dy, proportional=True)
-    (base_x, base_y), (change_x, change_y) = means
-    return (change_y - slope * change_x) - (base_y - slope * base_x)
-
-
 def fit_rss(pairs: list[tuple[dict, dict]]) -> dict | None:
     """Least-squares line ``peak_rss_mb = a + b * attempted`` over every run
-    of both sides: b in MB per 1000 ops, a in MB, and the correlation r;
-    and ``change_shift_mb``, change_shift of the same runs.  None when the
-    runs attempted fewer than two distinct counts; r is None when every run
-    read the same memory."""
+    of both sides: b in MB per 1000 ops, a in MB, and the correlation r.
+    None when the runs attempted fewer than two distinct counts; r is None
+    when every run read the same memory."""
     ops, rss = _ops_and_rss([r for p in pairs for r in p])
     if len(set(ops)) < 2:
         return None
     slope, intercept = statistics.linear_regression(ops, rss)
     r = statistics.correlation(ops, rss) if len(set(rss)) > 1 else None
-    return {"mb_per_1000_ops": slope * 1000, "intercept_mb": intercept, "r": r, "change_shift_mb": change_shift(pairs)}
+    return {"mb_per_1000_ops": slope * 1000, "intercept_mb": intercept, "r": r}
 
 
 def rss_headroom(pairs: list[tuple[dict, dict]], fit: dict | None, end_to_end: list[dict]) -> float | None:
