@@ -24,18 +24,22 @@ The determinant twist shifts h1 and h2 by m but leaves e and f alone.
 
 The stabilizer constraints of both built-in examples are written directly
 from their labels, in closed form, as column-convention sparse rows in
-stored form.
+stored form.  The binary-forms constraints are written whole.  The
+matrix-variety constraints hold their rows in a _RowsOnRequest: its torus
+pairs keep only their integer eigenvalues, which GroupActionData.diagonals
+hands over as they are, and each row of its general pairs is written when
+it is read, so a Hom solve writes the rows at the coordinates it keeps.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, prod
 
-from .linalg import _SMALL, Mat, _mat, check_dim, kron
+from .linalg import _SMALL, Mat, SparseRow, _mat, check_dim, kron
 
 Weight = tuple[int, ...]
 Gl2Label = tuple[int, int]
@@ -115,13 +119,62 @@ class _ProductOps(Sequence):
         return repr(self._built())
 
 
+class _RowsOnRequest(Sequence):
+    """The stored-form rows of a dim x dim constraint, each written when it
+    is read: given eigenvalues, the constraint is diagonal and row c holds
+    eigenvalue c (nothing where it is zero); otherwise write(c) writes row c.
+
+    A Mat holding this in place of its row tuple is the constraint.  ``len``
+    and the Mat's ``rows`` and ``cols`` write nothing, and reading one row
+    writes that row.  Nothing is kept: iterating, slicing, concatenating,
+    ``==``, ``hash`` and ``repr`` write every row and behave as the tuple of
+    them does, so the Mat equals, hashes, prints and stacks as the Mat of
+    those rows."""
+
+    __slots__ = ("_dim", "_write", "eigenvalues")
+
+    def __init__(self, dim: int, write: Callable[[int], SparseRow] | None = None, eigenvalues: tuple[int, ...] | None = None) -> None:
+        self._dim, self._write, self.eigenvalues = dim, write, eigenvalues
+
+    def __len__(self) -> int:
+        return self._dim
+
+    def __getitem__(self, c):
+        if type(c) is not int or not 0 <= c < self._dim:
+            return tuple(self)[c]
+        if self._write is not None:
+            return self._write(c)
+        x = self.eigenvalues[c]
+        return ((c, _SMALL[x]),) if x else ()
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._dim))
+
+    def __add__(self, other: tuple) -> tuple:
+        return tuple(self) + other
+
+    def __radd__(self, other: tuple) -> tuple:
+        return other + tuple(self)
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class GroupActionData:
     """Equivariance constraints: a map f between two objects carrying data
     (A_1..A_k) and (B_1..B_k) is equivariant iff f A_i = B_i f for all i.
 
     Each constraint is classified once, on the first read of diagonals, and
-    every Hom solve against the object reads that classification."""
+    every Hom solve against the object reads that classification.  Rows
+    written on request are not read to classify them: their eigenvalues, or
+    None, are kept with them."""
 
     dim: int
     intertwiner_constraints: tuple[Mat, ...]
@@ -138,7 +191,9 @@ class GroupActionData:
         vectors) if it has no other nonzero entry, else None.  Integral
         entries come back as ints: the Hom solvers compare them one basis
         vector at a time, and two ints compare far cheaper than Fractions."""
-        return tuple(map(_diagonal, self.intertwiner_constraints))
+        return tuple(
+            [k.sparse_rows.eigenvalues if type(k.sparse_rows) is _RowsOnRequest else _diagonal(k) for k in self.intertwiner_constraints]
+        )
 
 
 def _diagonal(m: Mat) -> tuple[int | Fraction, ...] | None:

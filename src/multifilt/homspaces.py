@@ -8,12 +8,14 @@ is the kernel dimension of one assembled rational linear system.
 
 The system uses the weight structure.  Each GroupActionData classifies
 its constraints once, as diagonal (a tuple of eigenvalues) or general, and
-every solve reads that classification.  A constraint pair that is diagonal
-on both sides (the torus part, in a weight basis) lets an entry f[r, c] be
-nonzero only where the two eigenvalues agree, so the other entries are
-never made variables and such pairs contribute no equations.  The general
-constraints and the filtration conditions are assembled over the
-surviving entries only; solutions are put back among the zero entries.
+every solve reads that classification; the matrix-variety constraints come
+classified, and their rows are written only where a solve reads them.  A
+constraint pair that is diagonal on both sides (the torus part, in a
+weight basis) lets an entry f[r, c] be nonzero only where the two
+eigenvalues agree, so the other entries are never made variables and such
+pairs contribute no equations.  The general constraints and the
+filtration conditions are assembled over the surviving entries only;
+solutions are put back among the zero entries.
 
 Each filtration condition is emitted once per vector, not once per step.
 At the jump p of a source filtration F_a, the map must send F_a(p) into
@@ -39,8 +41,8 @@ the source step F(p0 + 1); that step is a coordinate flag, so this only
 drops its coordinates.  The rest is the general assembler: the same
 pruning keeps the coordinates f_c whose eigenvalues equal the target's
 scalars lambda, and the same equation writer gives f (K - lambda) = 0 for
-each general constraint, over the coordinates left; one rank finishes the
-cell.
+each general constraint, over the coordinates left, reading only their
+rows of K; one rank finishes the cell.
 """
 
 from __future__ import annotations
@@ -238,8 +240,10 @@ def _left_kernel_dim(a: FiltObject, triv: FiltObject) -> int:
     as for the general system; see the module docstring.
     """
     _check_shapes(a, triv)
-    # the rows of a coordinate flag's step are unit vectors
-    dropped = {row[0][0] for fa, fb in zip(a.filtrations, triv.filtrations) for row in fa.at(fb.jumps()[-1] + 1).sparse_rows}
+    # F(p0 + 1) is the first step past p0, if any (else zero), read off the
+    # steps; the rows of a coordinate flag's step are unit vectors
+    steps = [next((s for p, s in fa.steps if p > fb.steps[-1][0]), None) for fa, fb in zip(a.filtrations, triv.filtrations)]
+    dropped = {row[0][0] for step in steps if step is not None for row in step.sparse_rows}
     free, general = _free_entries(a.h_action, triv.h_action, dropped)
     rows = _constraint_rows(free, general)
     return len(free) - rank(_mat(len(rows), len(free), tuple(rows)))

@@ -223,7 +223,9 @@ def _mat(rows: int, cols: int, sparse_rows: tuple[SparseRow, ...]) -> Mat:
     of row tuples, columns increasing and below cols, no zero values, and
     every value a ``Fraction`` as ``frac`` gives it (the shared one for a
     small integer).  Rows written in this form by construction skip that
-    constructor's per-entry checks."""
+    constructor's per-entry checks.  In place of the tuple, a sequence that
+    writes such rows on request and otherwise behaves as their tuple does
+    is taken too (the matrix-variety constraints of gl2)."""
     m = object.__new__(Mat)
     _init_mat(m, rows, cols, sparse_rows)
     return m

@@ -31,15 +31,19 @@ Conventions pinned by the built-ins (printed by the CLI as well):
   {(g, transpose-inverse of g)}, a connected copy of GL2, realized on a
   product representation by pairing each factor operator with minus the
   transposed operator of the other factor.  The constraints are written
-  directly from the label as sparse rows in stored form (see linalg._mat):
-  e x 1 - 1 x f and f x 1 - 1 x e have at most two nonzeros per row, and
-  the torus pairs are diagonal with the weight differences as eigenvalues.
+  from the label on request (see gl2._RowsOnRequest): the torus pairs are
+  diagonal and kept as their eigenvalues, the weight differences, which
+  the Hom solver reads without reading a row; e x 1 - 1 x f and
+  f x 1 - 1 x e have at most two nonzeros per row, and each row is written
+  in stored form (see linalg._mat) when the solver reads it, so a cell
+  writes only the rows at the coordinates its solve keeps.
   Boundary cocharacter (1, 1, 0, -1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from operator import index, mul
 from typing import Callable, Mapping, Sequence
 
@@ -51,12 +55,13 @@ from .gl2 import (
     H_STYLES,
     RepData,
     Weight,
+    _RowsOnRequest,
     external_rep,
     irrep_gl2,
     label_factors,
     stabilizer_action_binary_forms,
 )
-from .linalg import _SMALL, Mat, _mat, _subspace
+from .linalg import _SMALL, Mat, SparseRow, _mat, _subspace
 
 Cocharacter = tuple[int, ...]
 
@@ -169,27 +174,31 @@ def _matrix_variety_stabilizer(rep: RepData, style: str) -> GroupActionData:
         (n1, _), (n2, _) = label_factors(rep.label)
     except ValueError:
         raise ValueError("matrix-variety stabilizer needs a labeled GL2 x GL2 irreducible") from None
-    # Basis vector (i, k) of the product sits at r = i * d2 + k.  On a factor
-    # of degree n, e sends vector j to j (vector j-1) and f sends it to
-    # (n - j) (vector j+1) (see gl2), so row r of e x 1 - 1 x f holds
-    # -(n2 - k + 1) at (i, k-1) and i + 1 at (i+1, k), and row r of
-    # f x 1 - 1 x e holds n1 - i + 1 at (i-1, k) and -(k + 1) at (i, k+1):
-    # at most two nonzeros, none of them zero, in increasing columns: the
-    # rows are in stored form as written, so no merge or check is needed.
-    # Each value is one lookup in linalg's shared table (a fresh Fraction
-    # past it).
-    d2 = n2 + 1
-    cells = [(r, *divmod(r, d2)) for r in range((n1 + 1) * d2)]
-    e_f = tuple([((r - 1, _SMALL[k - d2]),) * (k > 0) + ((r + d2, _SMALL[i + 1]),) * (i < n1) for r, i, k in cells])
-    f_e = tuple([((r - d2, _SMALL[n1 - i + 1]),) * (i > 0) + ((r + 1, _SMALL[-k - 1]),) * (k < n2) for r, i, k in cells])
+    dim = rep.dim
     # the torus pairs h11 - h21 and h12 - h22 are diagonal, with the
-    # differences of the two factors' weights as eigenvalues; a zero
-    # eigenvalue leaves its row empty
-    torus = [
-        tuple([((r, _SMALL[w[a] - w[a + 2]]),) if w[a] != w[a + 2] else () for r, w in enumerate(rep.weights)])
-        for a in (0, 1)
-    ]
-    return GroupActionData(rep.dim, tuple([_mat(rep.dim, rep.dim, rows) for rows in (e_f, f_e, *torus)]))
+    # differences of the two factors' weights as eigenvalues; the general
+    # pairs are diagonal only on a line (n1 = n2 = 0), where they are zero
+    rows = [_RowsOnRequest(dim, partial(write, n1, n2), (0,) if dim == 1 else None) for write in (_e_f_row, _f_e_row)]
+    rows += [_RowsOnRequest(dim, eigenvalues=tuple([w[a] - w[a + 2] for w in rep.weights])) for a in (0, 1)]
+    return GroupActionData(dim, tuple([_mat(dim, dim, r) for r in rows]))
+
+
+# Basis vector (i, k) of the product sits at r = i * (n2 + 1) + k.  On a
+# factor of degree n, e sends vector j to j (vector j-1) and f sends it to
+# (n - j) (vector j+1) (see gl2), so row r of e x 1 - 1 x f holds
+# -(n2 - k + 1) at (i, k-1) and i + 1 at (i+1, k), and row r of
+# f x 1 - 1 x e holds n1 - i + 1 at (i-1, k) and -(k + 1) at (i, k+1): at
+# most two nonzeros, none of them zero, in increasing columns, so each row
+# is in stored form as written.  Each value is one lookup in linalg's
+# shared table (a fresh Fraction past it).
+def _e_f_row(n1: int, n2: int, r: int) -> SparseRow:
+    i, k = divmod(r, n2 + 1)
+    return ((r - 1, _SMALL[k - n2 - 1]),) * (k > 0) + ((r + n2 + 1, _SMALL[i + 1]),) * (i < n1)
+
+
+def _f_e_row(n1: int, n2: int, r: int) -> SparseRow:
+    i, k = divmod(r, n2 + 1)
+    return ((r - n2 - 1, _SMALL[n1 - i + 1]),) * (i > 0) + ((r + 1, _SMALL[-k - 1]),) * (k < n2)
 
 
 def custom_variety(

@@ -8,7 +8,8 @@ step by step in Fraction arithmetic, and symmetric powers of 2x2 matrices
 expanded in Fractions, matrices stored densely with arithmetic on every
 entry, the subspace basis check that tests each pivot column entry by
 entry, grid labels written as one nested loop per group, the matrix-variety
-stabilizer subtracted from the Kronecker-product operators, the
+stabilizer subtracted from the Kronecker-product operators and written
+whole, every row up front rather than each on request, the
 binary-forms stabilizer built from the representation's operators and a
 symmetric power of its reflection, symmetric-power characters by
 convolving binomial generating functions, the weight-pruned Hom
@@ -32,9 +33,9 @@ from typing import Iterable, Mapping, Sequence
 
 from multifilt.characters import WeightMultiset
 from multifilt.filtration import FilteredSpace, make_filtered
-from multifilt.gl2 import GROUP_FACTORS, H_STYLE_LIE_PLUS_ELEMENTS, Gl2Label, RepData, Weight, external_rep, irrep_gl2
+from multifilt.gl2 import GROUP_FACTORS, H_STYLE_LIE_PLUS_ELEMENTS, Gl2Label, RepData, Weight, external_rep, irrep_gl2, label_factors
 from multifilt.homspaces import FiltObject, filt_object, hom_dim
-from multifilt.linalg import AmbientMismatch, Mat, Subspace, kernel, kron, rank, vector
+from multifilt.linalg import _SMALL, AmbientMismatch, Mat, Subspace, _mat, kernel, kron, rank, vector
 from multifilt.rees import GradedFreeModule, RankDeficient
 from multifilt.varieties import Cocharacter, VarietySpec, pairing
 
@@ -302,6 +303,22 @@ def reference_matrix_variety_stabilizer(rep: RepData) -> tuple[Mat, ...]:
     h12 - h22), subtracted from the eight factor operators of rep."""
     e1, f1, h11, h12, e2, f2, h21, h22 = rep.action_ops
     return (e1 - f2, f1 - e2, h11 - h21, h12 - h22)
+
+
+def reference_eager_matrix_stabilizer(rep: RepData) -> tuple[Mat, ...]:
+    """The twisted-diagonal constraints (e1 - f2, f1 - e2, h11 - h21,
+    h12 - h22) written whole from rep's label and weights, every row in
+    stored form, in one pass over the basis vectors (i, k), r = i * d2 + k."""
+    (n1, _), (n2, _) = label_factors(rep.label)
+    d2 = n2 + 1
+    cells = [(r, *divmod(r, d2)) for r in range((n1 + 1) * d2)]
+    e_f = tuple([((r - 1, _SMALL[k - d2]),) * (k > 0) + ((r + d2, _SMALL[i + 1]),) * (i < n1) for r, i, k in cells])
+    f_e = tuple([((r - d2, _SMALL[n1 - i + 1]),) * (i > 0) + ((r + 1, _SMALL[-k - 1]),) * (k < n2) for r, i, k in cells])
+    torus = [
+        tuple([((r, _SMALL[w[a] - w[a + 2]]),) if w[a] != w[a + 2] else () for r, w in enumerate(rep.weights)])
+        for a in (0, 1)
+    ]
+    return tuple([_mat(rep.dim, rep.dim, rows) for rows in (e_f, f_e, *torus)])
 
 
 def reference_external_rep(a: Gl2Label, b: Gl2Label) -> RepData:

@@ -72,6 +72,30 @@ def test_gain_needs_nine_tenths_and_a_gap_past_the_base_spread():
     assert not summary["peak_rss_mb"]["within_bound"]
 
 
+def test_claim_lines_resolve_a_gain_at_nine_tenths_of_the_pairs_and_a_gap_past_the_base_spread():
+    # base ops_per_s 400..490: median 445, quartiles 422.5 and 467.5
+    base = [(400.0 + 10 * k, 26.0) for k in range(10)]
+    nine = [(560.0 + 10 * k, 26.0) for k in range(9)] + [(300.0, 26.0)]
+    eight = [(560.0 + 10 * k, 26.0) for k in range(8)] + [(300.0, 26.0)] * 2
+    at_the_spread = [(445.0 + 10 * k, 26.0) for k in range(10)]  # wins all ten, medians exactly 45 apart
+    resolved = bench_pairs.summarize(_pairs(base, nine), END_TO_END)
+    assert resolved["resolved_gains"] == ["ops_per_s"]
+    assert bench_pairs.claim_lines("large-cells", resolved) == [
+        "large-cells ops_per_s: +33.7%, 9/10 pairs won, gap 150 1/s vs base IQR 45: gain resolved",
+        "large-cells peak_rss_mb: +0.0%, 0/10 pairs won, gap 0 MB vs base IQR 0: no resolved gain",
+    ]
+    for change in (eight, at_the_spread):
+        summary = bench_pairs.summarize(_pairs(base, change), END_TO_END)
+        assert summary["resolved_gains"] == [] and not summary["metrics"]["ops_per_s"]["gain_holds"]
+        assert bench_pairs.claim_lines("large-cells", summary)[0].endswith(": no resolved gain")
+    # lower is better for memory: a clear drop in every pair is a resolved gain
+    leaner = bench_pairs.summarize(_pairs(base, [(500.0 + k, 20.0) for k in range(10)]), END_TO_END)
+    assert leaner["resolved_gains"] == ["ops_per_s", "peak_rss_mb"]
+    assert bench_pairs.claim_lines("paper-grids", leaner)[1] == (
+        "paper-grids peak_rss_mb: -23.1%, 10/10 pairs won, gap 6 MB vs base IQR 0: gain resolved"
+    )
+
+
 def test_failed_ops_are_summed_per_side():
     summary = bench_pairs.summarize(_pairs([(400.0, 26.0)] * 2, [(500.0, 26.0, 3), (500.0, 26.0)]), END_TO_END)
     assert summary["change"] == {"attempted": 200, "failed": 3, "attempted_runs": [100, 100]} and not summary["all_correct"]

@@ -3,11 +3,12 @@ filtration conditions and coordinate-flag filtrations against the plain
 constructions in reference_paths."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from multifilt import gl2, homspaces
+from multifilt import gl2, homspaces, varieties
 from multifilt.characters import label_weight_sum
 from multifilt.cli import _parse_label
 from multifilt.gl2 import (
@@ -22,7 +23,7 @@ from multifilt.gl2 import (
     weights_of_label,
 )
 from multifilt.homspaces import FiltObject, filt_object, grid_labels, hom_basis, hom_dim, multiplicity
-from multifilt.linalg import Mat
+from multifilt.linalg import Mat, vstack
 from multifilt.varieties import (
     BINARY_QUADRATIC_FORMS,
     TWO_BY_TWO_MATRICES,
@@ -37,6 +38,7 @@ from reference_paths import (
     reference_grid_labels,
     reference_hom_basis,
     reference_hom_dim,
+    reference_eager_matrix_stabilizer,
     reference_matrix_variety_stabilizer,
     reference_multiplicity,
     reference_per_jump_hom_system,
@@ -172,8 +174,9 @@ def test_constraints_are_classified_once_per_group_action_data(monkeypatch):
     monkeypatch.setattr(gl2, "_diagonal", lambda m: pytest.fail("a classified constraint was classified again"))
     assert [(hom_dim(a, b), hom_basis(a, b)) for a, b in pairs] == expected_homs
 
-    # a cell's own object is new, so its constraints are classified, once
-    # each; the kept trivial object's never are
+    # a cell's own object is new, so its forms constraints are classified,
+    # once each; its matrix constraints carry their classification, and the
+    # kept trivial object's are never classified
     kept_constraints = [k for triv in kept for k in triv.h_action.intertwiner_constraints]
     calls = []
 
@@ -189,8 +192,26 @@ def test_constraints_are_classified_once_per_group_action_data(monkeypatch):
             rep = rep_from_label(group, label)
             before = len(calls)
             got.append(multiplicity(rep, specs[group], style))
-            assert len(calls) - before == len(specs[group].stabilizer_action(rep, style).intertwiner_constraints)
+            expected_calls = 0 if group == "GL2xGL2" else len(specs[group].stabilizer_action(rep, style).intertwiner_constraints)
+            assert len(calls) - before == expected_calls
     assert got == expected_cells
+
+
+def test_a_large_cell_writes_only_the_general_rows_it_keeps(monkeypatch):
+    # the torus pruning keeps the n + 1 coordinates (i, i) of ((n,1),(n,1)),
+    # so each general constraint writes at most those rows of its 169 at
+    # n = 12; the kept trivial object is built before the writers are counted
+    spec = builtin_variety(TWO_BY_TWO_MATRICES)
+    expected = [multiplicity(rep_from_label("GL2xGL2", ((n, 1), (n, 1))), spec) for n in range(13)]
+    writes = Counter()
+    for name in ("_e_f_row", "_f_e_row"):
+        real = getattr(varieties, name)
+        monkeypatch.setattr(varieties, name, lambda n1, n2, r, real=real, name=name: writes.update([name]) or real(n1, n2, r))
+    for n in range(13):
+        writes.clear()
+        assert multiplicity(rep_from_label("GL2xGL2", ((n, 1), (n, 1))), spec) == expected[n]
+        assert set(writes) <= {"_e_f_row", "_f_e_row"} and all(count <= n + 1 for count in writes.values()), (n, writes)
+        assert n == 0 or writes
 
 
 def _assert_filtration_matches(rep, mu):
@@ -263,12 +284,29 @@ def _matrix_stabilizer_labels():
     yield from (((3, -1), (7, 2)), ((7, 2), (3, -1)), ((0, 4), (5, 0)), ((9, 1), (0, -3)), ((1, 0), (12, 5)))
 
 
+def _assert_written_as_eager(action, rep):
+    """Each constraint's rows, read one at a time as the Hom solver reads
+    them and then whole, are the rows the eager recipe writes, and the
+    classification it carries is what _diagonal reads off the eager Mats."""
+    eager = reference_eager_matrix_stabilizer(rep)
+    for k, e in zip(action.intertwiner_constraints, eager, strict=True):
+        assert (k.rows, k.cols, len(k.sparse_rows)) == (e.rows, e.cols, e.rows)
+        assert tuple(k.sparse_rows[c] for c in range(k.rows)) == e.sparse_rows
+        assert vstack(k, e) == vstack(e, k) and k.transpose() == e.transpose()
+    assert action.diagonals == tuple(map(gl2._diagonal, eager))
+    assert all(type(x) is int for eigen in action.diagonals[2:] for x in eigen)
+    assert action.intertwiner_constraints == eager and eager == action.intertwiner_constraints
+    assert hash(action.intertwiner_constraints) == hash(eager) and repr(action.intertwiner_constraints) == repr(eager)
+
+
 def test_matrix_stabilizer_matches_kron_and_subtract():
     spec = builtin_variety(TWO_BY_TWO_MATRICES)
-    for label in [*_matrix_stabilizer_labels(), ((0, 0), (0, 0))]:
+    # the last two have weight differences past the shared table
+    for label in [*_matrix_stabilizer_labels(), ((0, 0), (0, 0)), ((0, 300), (0, -300)), ((2, -300), (3, 301))]:
         rep = rep_from_label("GL2xGL2", label)
         expected = reference_matrix_variety_stabilizer(rep)
         for style in H_STYLES:
+            _assert_written_as_eager(spec.stabilizer_action(rep, style), rep)
             assert spec.stabilizer_action(rep, style).intertwiner_constraints == expected, label
     triv = spec.trivial_rep()
     assert spec.stabilizer_action(triv).intertwiner_constraints == reference_matrix_variety_stabilizer(triv)
@@ -315,7 +353,9 @@ def test_stored_form_builders_match_references_on_random_labels():
         rep = rep_from_label("GL2xGL2", label)
         expected = reference_matrix_variety_stabilizer(rep)
         for style in H_STYLES:
-            got = matrices.stabilizer_action(rep, style).intertwiner_constraints
+            action = matrices.stabilizer_action(rep, style)
+            _assert_written_as_eager(action, rep)
+            got = action.intertwiner_constraints
             assert got == expected, label
             for m in got:
                 _assert_stored_form(m)

@@ -19,16 +19,21 @@ Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
 output file holds, per workload and side, the ops attempted and failed (in
 total, and attempted per run), and per end-to-end metric of BENCHMARK.json,
 each side's runs, median and quartiles, the pairs the working tree won and
-tied, the relative change of the medians, and whether that change stays
-within the metric's bound.  It also holds, per workload, the straight line
-``peak_rss_mb = a + b * attempted`` fitted over all runs of both sides, so
-that the share of a memory change that comes from pass count alone can be
-read off the data; and the memory headroom, the extra ops per run at which
-that line climbs by the ``peak_rss_mb`` bound over the base median, in ops
-and as a share of the base side's median ops attempted, so that a speed-up
-can be sized against the memory bound before it is built.  While it runs,
+tied, the relative change of the medians, whether that change stays
+within the metric's bound, and whether the change resolves a gain in the
+metric (``gain_holds``, the benchmark's rule: see summarize), with the
+names of the metrics that do under ``resolved_gains``.  It also holds, per
+workload, the straight line ``peak_rss_mb = a + b * attempted`` fitted
+over all runs of both sides, so that the share of a memory change that
+comes from pass count alone can be read off the data; and the memory
+headroom, the extra ops per run at which that line climbs by the
+``peak_rss_mb`` bound over the base median, in ops and as a share of the
+base side's median ops attempted, so that a speed-up can be sized
+against the memory bound before it is built.  While it runs,
 each pair prints one line to stderr with both sides' ``ops_per_s`` and
-``peak_rss_mb``.
+``peak_rss_mb``; at the end, one line per workload and metric gives the
+change of the medians, the pairs won, the base side's interquartile range
+and whether the gain is resolved (claim_lines).
 """
 
 from __future__ import annotations
@@ -112,6 +117,7 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     ``rss_headroom_ops`` is rss_headroom of that fit, and
     ``rss_headroom_share`` is that over the base side's median ops
     attempted: the ``ops_per_s`` speed-up the memory bound leaves room for.
+    ``resolved_gains`` names the metrics whose gain holds, in metric order.
     """
     out: dict = {}
     for k, side in enumerate(SIDES):
@@ -142,6 +148,25 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
             "gain_holds": sum(g > 0 for g in gains) >= 0.9 * len(pairs)
             and sign * (change["median"] - base["median"]) > base["q3"] - base["q1"],
         }
+    out["resolved_gains"] = [name for name, m in out["metrics"].items() if m["gain_holds"]]
+    return out
+
+
+def claim_lines(workload: str, summary: dict) -> list[str]:
+    """One line per metric of a workload's summary: the relative change of
+    the medians, the pairs the change won, the medians' gap in the metric's
+    better direction against the base side's interquartile range, and
+    whether the gain is resolved."""
+    out = []
+    for name, m in summary["metrics"].items():
+        base, change = m["base"]["median"], m["change"]["median"]
+        gap = change - base if m["better"] == "higher" else base - change
+        relative = "n/a" if m["relative_change"] is None else f"{m['relative_change']:+.1%}"
+        verdict = "gain resolved" if m["gain_holds"] else "no resolved gain"
+        out.append(
+            f"{workload} {name}: {relative}, {m['change_wins']}/{m['pairs']} pairs won, "
+            f"gap {gap:.4g} {m['unit']} vs base IQR {m['base']['q3'] - m['base']['q1']:.4g}: {verdict}"
+        )
     return out
 
 
@@ -227,6 +252,8 @@ def main(argv=None) -> int:
         "workloads": {w: summarize(results[w], spec["end_to_end"]) for w in workloads},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for workload, summary in report["workloads"].items():
+        print("\n".join(claim_lines(workload, summary)), file=sys.stderr)
     return 0
 
 
