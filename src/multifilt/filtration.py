@@ -11,6 +11,7 @@ Queries at other indices fill in by that convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Mapping
 
 from .linalg import AmbientMismatch, Mat, Subspace, Vector, check_dim, subspace_sum
@@ -55,10 +56,11 @@ class FilteredSpace:
     """Sparse normalized filtration.
 
     make_filtered builds one from arbitrary steps; direct construction must
-    already be normalized.  The checks here are O(steps): ambient dimensions,
-    strictly increasing indices, strictly decreasing nonzero step dimensions
-    and a full first step.  Nestedness is the caller's promise (make_filtered
-    checks it), so equal normalized filtrations compare equal.
+    already be normalized.  The checks here are O(steps): int indices,
+    ambient dimensions, strictly increasing indices, strictly decreasing
+    nonzero step dimensions and a full first step.  Nestedness is the
+    caller's promise (make_filtered checks it), so equal normalized
+    filtrations compare equal.
     """
 
     dim: int
@@ -67,6 +69,8 @@ class FilteredSpace:
     def __post_init__(self) -> None:
         check_dim(self.dim)
         for idx, sub in self.steps:
+            if type(idx) is not int:
+                raise TypeError(f"filtration index {idx!r} is not an int")
             if sub.ambient_dim != self.dim:
                 raise AmbientMismatch(f"step has ambient dimension {sub.ambient_dim}, expected {self.dim}")
             if sub.dim() == 0:
@@ -93,10 +97,12 @@ class FilteredSpace:
 def make_filtered(dim: int, steps: Mapping[int, Subspace]) -> FilteredSpace:
     """Validate and normalize a filtration given on a finite set of indices.
 
-    Raises AmbientMismatch, NotDecreasing or NotExhaustive, and ValueError
-    for a negative dimension.
+    Indices are read as ints with operator.index, so a bool is stored as
+    its int and a float or Fraction index raises TypeError.  Raises
+    AmbientMismatch, NotDecreasing or NotExhaustive, and ValueError for a
+    negative dimension.
     """
-    items = sorted(steps.items())
+    items = sorted([(index(i), sub) for i, sub in steps.items()])
     for _, sub in items:
         if sub.ambient_dim != dim:
             raise AmbientMismatch(f"step has ambient dimension {sub.ambient_dim}, expected {dim}")
@@ -116,13 +122,18 @@ def make_filtered(dim: int, steps: Mapping[int, Subspace]) -> FilteredSpace:
 
 
 def is_filtration_morphism(f: Mat, src: FilteredSpace, dst: FilteredSpace) -> bool:
-    """True iff f(F_src(i)) lies inside F_dst(i) for every integer i."""
+    """True iff f(F_src(i)) lies inside F_dst(i) for every integer i.
+
+    Only the source's jumps are checked.  Below its next jump j, or past
+    its last one, F_src(i) equals F_src(j) (or zero), and F_dst is
+    decreasing, so f(F_src(i)) = f(F_src(j)) lies in F_dst(j), inside
+    F_dst(i)."""
     if f.cols != src.dim or f.rows != dst.dim:
         raise AmbientMismatch(f"map shape {f.rows}x{f.cols} does not match {dst.dim}x{src.dim}")
     image = f.transpose()
-    for i in sorted(set(src.jumps()) | set(dst.jumps())):
+    for i, step in src.steps:
         # row k of basis @ f^T is f applied to basis vector k
-        if not dst.at(i).contains_rows(src.at(i).basis_matrix() @ image):
+        if not dst.at(i).contains_rows(step.basis_matrix() @ image):
             return False
     return True
 

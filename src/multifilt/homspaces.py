@@ -18,13 +18,19 @@ filtration conditions are assembled over the surviving entries only;
 solutions are put back among the zero entries.
 
 Each filtration condition is emitted once per vector, not once per step.
-At the jump p of a source filtration F_a, the map must send F_a(p) into
-F_b(p).  Only the echelon rows of F_a(p) whose pivot is not a pivot of the
-next step give conditions there; the last step gives all of its rows.
-This cuts out the same maps: for subspaces U of V, the pivot columns of U
-are among those of V, so the rows of V at the other pivots complete U to
-V; and F_b is decreasing, so the conditions of the deeper steps of F_a
-already send the rest of F_a(p) into F_b(p).
+Conditions are needed only at the jumps p of a source filtration F_a:
+F_a is constant up to its next jump and F_b is decreasing, so sending
+F_a(p) into F_b(p) sends every F_a(i) with i <= p into F_b(i).  Only the
+echelon rows of F_a(p) whose pivot is not a pivot of the next step give
+conditions there; the last step gives all of its rows.  This cuts out the
+same maps: for subspaces U of V, the pivot columns of U are among those
+of V, so the rows of V at the other pivots complete U to V; and F_b is
+decreasing, so the conditions of the deeper steps of F_a already send the
+rest of F_a(p) into F_b(p).  Each condition pairs a source row v with the
+rows u of F_b(p)'s annihilator (u f v = 0); Subspace.annihilator_matrix
+reads those rows off F_b(p)'s echelon rows, so assembling the conditions
+runs no elimination, and hom_dim makes one rank call and hom_basis one
+kernel call.
 
 The multiplicity of a representation in the coordinate ring of one of the
 built-in examples is the Hom dimension from the object carrying its

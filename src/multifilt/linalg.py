@@ -441,8 +441,23 @@ class Subspace:
 
     def annihilator_matrix(self) -> Mat:
         """Rows u with u.v = 0 for all v in the subspace; v lies in the
-        subspace iff this matrix kills v."""
-        return kernel(self.basis_matrix()).basis_matrix()
+        subspace iff this matrix kills v.
+
+        Read off the echelon rows, with no elimination: one row per
+        non-pivot column c, holding 1 at c and -row_i[c] at the pivot p_i
+        of each basis row i.  Basis row i meets it in -row_i[c] + row_i[c],
+        since it is zero at the other pivots.  A basis row is nonzero at c
+        only if its pivot lies left of c, so the rows come out in stored
+        form; each is the unit vector at c among the non-pivot columns, so
+        they are unique to the subspace (though not the echelon basis of
+        its annihilator)."""
+        by_column: dict[int, list[tuple[int, Fraction]]] = {c: [] for c in range(self.ambient_dim)}
+        for row in self.sparse_rows:
+            p = row[0][0]
+            del by_column[p]
+            for j, x in row[1:]:
+                by_column[j].append((p, -x))
+        return _mat(len(by_column), self.ambient_dim, tuple([(*pairs, (c, _ONE)) for c, pairs in by_column.items()]))
 
     def contains_rows(self, m: Mat) -> bool:
         """Whether every row of m lies in the subspace.  A row w does exactly

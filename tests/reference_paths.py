@@ -18,9 +18,11 @@ echelon row of the source step, the external product with its
 Kronecker-product operators built up front, and the multiplicity that
 builds a fresh trivial object for every call and solves the general Hom
 system to it rather than a left kernel, and the de-Rees map that spans
-every prefix of generators afresh and normalizes through make_filtered.
-They live only here, so that tests can compare the library against them on
-many inputs.
+every prefix of generators afresh and normalizes through make_filtered,
+the annihilator of a subspace as the kernel of its basis, found by
+elimination, and the filtration-morphism check at every jump of either
+side.  They live only here, so that tests can compare the library
+against them on many inputs.
 """
 
 from __future__ import annotations
@@ -38,6 +40,23 @@ from multifilt.homspaces import FiltObject, filt_object, hom_dim
 from multifilt.linalg import _SMALL, AmbientMismatch, Mat, Subspace, _mat, kernel, kron, rank, vector
 from multifilt.rees import GradedFreeModule, RankDeficient
 from multifilt.varieties import Cocharacter, VarietySpec, pairing
+
+
+def reference_annihilator(s: Subspace) -> Mat:
+    """The echelon basis of the annihilator of s: the kernel of s's basis
+    matrix, found by elimination."""
+    return kernel(s.basis_matrix()).basis_matrix()
+
+
+def reference_is_filtration_morphism(f: Mat, src: FilteredSpace, dst: FilteredSpace) -> bool:
+    """f(F_src(i)) inside F_dst(i), checked at every jump of either side."""
+    if f.cols != src.dim or f.rows != dst.dim:
+        raise AmbientMismatch(f"map shape {f.rows}x{f.cols} does not match {dst.dim}x{src.dim}")
+    image = f.transpose()
+    for i in sorted(set(src.jumps()) | set(dst.jumps())):
+        if not dst.at(i).contains_rows(src.at(i).basis_matrix() @ image):
+            return False
+    return True
 
 
 def full_hom_system(a: FiltObject, b: FiltObject) -> Mat:
@@ -62,7 +81,7 @@ def full_hom_system(a: FiltObject, b: FiltObject) -> Mat:
 
     for fa, fb in zip(a.filtrations, b.filtrations):
         for p in fa.jumps():
-            ann = fb.at(p).annihilator_matrix()
+            ann = reference_annihilator(fb.at(p))
             if ann.rows == 0:
                 continue
             for v in fa.at(p).basis:
@@ -122,7 +141,7 @@ def reference_per_jump_hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, li
 
     for fa, fb in zip(a.filtrations, b.filtrations):
         for p in fa.jumps():
-            ann_rows = fb.at(p).annihilator_matrix().sparse_rows
+            ann_rows = reference_annihilator(fb.at(p)).sparse_rows
             for v_nonzero in fa.at(p).sparse_rows:
                 for u_nonzero in ann_rows:
                     emit({var[r, c]: ur * vc for r, ur in u_nonzero for c, vc in v_nonzero if (r, c) in var})

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,8 +13,10 @@ from multifilt.filtration import (
     is_filtration_morphism,
     make_filtered,
 )
-from multifilt.linalg import AmbientMismatch, Mat, Subspace
+from multifilt.linalg import AmbientMismatch, Mat, Subspace, kernel
+from multifilt.serialize import filtered_space_from_json, filtered_space_to_json
 from multifilt.verify import random_filtered_space
+from reference_paths import reference_annihilator, reference_is_filtration_morphism
 
 
 def line(dim, entries):
@@ -93,6 +96,54 @@ def test_morphism_composition_random():
         g = Mat.from_rows([[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)])
         if is_filtration_morphism(f, fa, fb) and is_filtration_morphism(g, fb, fc):
             assert is_filtration_morphism(g @ f, fa, fc)
+
+
+def _preimage_filtration(f, dst):
+    """F(i) = f^-1(F_dst(i)) at every jump of dst and one index either
+    side: the largest filtration f maps into dst, with dst's jumps."""
+    jumps = dst.jumps()
+    indices = (*jumps, min(jumps, default=0) - 1, max(jumps, default=0) + 1)
+    return make_filtered(f.cols, {i: kernel(reference_annihilator(dst.at(i)) @ f) for i in indices})
+
+
+def test_morphism_check_at_source_jumps_matches_reference():
+    # a map passes from the preimage filtration F and from F'(i) = F(i + k)
+    # for k >= 0, which lies inside F and whose jumps are not the target's;
+    # k < 0 or a random source mostly fails
+    rng = random.Random(47)
+    outcomes = []
+    for _ in range(360):
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        dst = random_filtered_space(rng, dim=m)
+        f = Mat.from_rows([[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(m)], n)
+        kind = rng.randrange(3)
+        if kind == 2:
+            src = random_filtered_space(rng, dim=n)
+        else:
+            src = _preimage_filtration(f, dst)
+            shift = rng.randint(0, 3) if kind == 0 else rng.randint(-3, 0)
+            src = make_filtered(n, {i - shift: sub for i, sub in src.steps})
+        got = is_filtration_morphism(f, src, dst)
+        assert got == reference_is_filtration_morphism(f, src, dst)
+        assert got or kind
+        outcomes.append((got, bool(set(src.jumps()) - set(dst.jumps())), bool(set(dst.jumps()) - set(src.jumps()))))
+    assert outcomes.count((True, True, True)) > 20 and [got for got, _, _ in outcomes].count(False) > 60
+
+
+def test_filtration_indices_are_ints():
+    full, x_axis = Subspace.full(2), line(2, [1, 0])
+    for bad in (0.5, Fraction(1, 2), "0"):
+        with pytest.raises(TypeError):
+            make_filtered(2, {bad: full, 3: x_axis})
+        with pytest.raises(TypeError, match="is not an int"):
+            FilteredSpace(2, ((bad, full), (3, x_axis)))
+    with pytest.raises(TypeError, match="is not an int"):
+        FilteredSpace(1, ((True, Subspace.full(1)),))
+    # a bool index is read as its int, and written as one
+    fs = make_filtered(1, {True: Subspace.full(1)})
+    assert fs.steps == ((1, Subspace.full(1)),) and type(fs.steps[0][0]) is int
+    assert filtered_space_to_json(fs)["steps"][0]["index"] == 1
+    assert filtered_space_from_json(filtered_space_to_json(fs)) == fs
 
 
 def test_associated_graded_examples():

@@ -18,6 +18,8 @@ from multifilt.linalg import (
     subspace_intersect,
     subspace_sum,
 )
+from reference_paths import reference_annihilator
+from test_stored_form import _assert_sorted_fractions
 
 
 def test_rref_identity():
@@ -205,3 +207,42 @@ def test_negative_dimensions_are_rejected():
     # dimension 0 is a space, with one subspace
     assert Subspace(0, []) == Subspace.span(0, []) == Subspace.zero(0) == Subspace.full(0)
     assert Mat.from_rows([], cols=0) == Mat.zero(0, 0)
+
+
+def _annihilator_cases(rng):
+    """Subspaces of QQ^0..QQ^7: zero, full, coordinate, and spans of dense
+    integer and dense rational vectors."""
+    for n in range(8):
+        yield Subspace.zero(n)
+        yield Subspace.full(n)
+    rationals = [0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4)]
+    for _ in range(320):
+        n = rng.randint(0, 7)
+        k = rng.randint(0, n)
+        kind = rng.randrange(3)
+        if kind == 0:
+            vecs = [[1 if j == c else 0 for j in range(n)] for c in rng.sample(range(n), k)]
+        elif kind == 1:
+            vecs = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        else:
+            vecs = [[rng.choice(rationals) for _ in range(n)] for _ in range(k)]
+        yield Subspace.span(n, vecs)
+
+
+def test_annihilator_rows_are_read_off_the_echelon_rows():
+    seen = set()
+    for s in _annihilator_cases(random.Random(19)):
+        n = s.ambient_dim
+        ann = s.annihilator_matrix()
+        assert (ann.rows, ann.cols) == (n - s.dim(), n)
+        _assert_sorted_fractions(ann)
+        # it kills the basis and spans the reference's annihilator
+        assert all(not any(row) for row in (s.basis_matrix() @ ann.transpose()).sparse_rows)
+        ref = reference_annihilator(s)
+        assert Subspace.row_space(ann) == Subspace.from_sparse_rows(n, ref.sparse_rows)
+        # among the non-pivot columns, row k is the unit vector at the k-th
+        pivots = {row[0][0] for row in s.sparse_rows}
+        free = [c for c in range(n) if c not in pivots]
+        assert [[(j, x) for j, x in row if j not in pivots] for row in ann.sparse_rows] == [[(c, 1)] for c in free]
+        seen.add("zero" if s.dim() == 0 else "full" if s.is_full() else "proper")
+    assert seen == {"zero", "full", "proper"}

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from multifilt import gl2, homspaces, varieties
+from multifilt import gl2, homspaces, linalg, varieties
 from multifilt.characters import label_weight_sum
 from multifilt.cli import _parse_label
 from multifilt.gl2 import (
@@ -23,7 +23,7 @@ from multifilt.gl2 import (
     weights_of_label,
 )
 from multifilt.homspaces import FiltObject, filt_object, grid_labels, hom_basis, hom_dim, multiplicity
-from multifilt.linalg import Mat, vstack
+from multifilt.linalg import Mat, Subspace, vstack
 from multifilt.varieties import (
     BINARY_QUADRATIC_FORMS,
     TWO_BY_TWO_MATRICES,
@@ -33,6 +33,7 @@ from multifilt.varieties import (
 )
 from multifilt.verify import random_filt_object_pair, random_filtered_space
 from reference_paths import (
+    reference_annihilator,
     reference_binary_forms_stabilizer,
     reference_cocharacter_filtration,
     reference_grid_labels,
@@ -121,6 +122,29 @@ def test_one_solve_per_call_even_when_empty(monkeypatch):
     a, b = _object([_diag(1, 1)]), _object([_diag(2, 2, 2)])
     assert hom_dim(a, b) == 0 and hom_basis(a, b) == []
     assert seen == [("rank", 0), ("kernel", 0)]
+
+
+def test_filtration_conditions_need_no_elimination(monkeypatch):
+    # the annihilators are read off the target's echelon rows, so hom_dim
+    # runs no kernel and hom_basis only the one that solves its system
+    calls = []
+    real_kernel = linalg.kernel
+    counting = lambda m: calls.append(m) or real_kernel(m)
+    monkeypatch.setattr(linalg, "kernel", counting)
+    monkeypatch.setattr(homspaces, "kernel", counting)
+    rng = random.Random(43)
+    conditions = 0
+    for _ in range(80):
+        a, b = random_filt_object_pair(rng, max_dim=5)
+        if not (a.rep.dim and b.rep.dim):
+            continue
+        conditions += any(fb.at(p).dim() < b.rep.dim for fa, fb in zip(a.filtrations, b.filtrations) for p in fa.jumps())
+        hom_dim(a, b)
+        assert calls == []
+        hom_basis(a, b)
+        assert len(calls) == 1
+        calls.clear()
+    assert conditions > 20
 
 
 def _entry_by_entry_diagonals(m):
@@ -375,19 +399,23 @@ def test_stored_form_builders_match_references_on_random_labels():
     assert zero_rows
 
 
-def _assert_conditions_once_match_per_jump(a, b):
+def _assert_conditions_once_match_per_jump(a, b, monkeypatch):
     """hom_dim and hom_basis equal the full reference, and the system with
     each filtration condition once has no more rows than the per-jump one;
-    returns both row counts."""
+    returns both row counts.  The counts compare the two emissions, so
+    both read the reference's annihilator rows: which rows vanish on the
+    kept entries, and are dropped, depends on the annihilator's basis."""
     _assert_matches_reference(a, b)
-    system, free = homspaces._hom_system(a, b)
     per_jump, per_jump_free = reference_per_jump_hom_system(a, b)
+    with monkeypatch.context() as m:
+        m.setattr(Subspace, "annihilator_matrix", reference_annihilator)
+        system, free = homspaces._hom_system(a, b)
     assert free == per_jump_free
     assert system.rows <= per_jump.rows
     return system.rows, per_jump.rows
 
 
-def test_conditions_once_match_per_jump_on_paper_and_large_cells():
+def test_conditions_once_match_per_jump_on_paper_and_large_cells(monkeypatch):
     specs = {"GL2": builtin_variety(BINARY_QUADRATIC_FORMS), "GL2xGL2": builtin_variety(TWO_BY_TWO_MATRICES)}
     trivial = {group: filt_object(spec.trivial_rep(), spec) for group, spec in specs.items()}
     labels = [
@@ -397,7 +425,8 @@ def test_conditions_once_match_per_jump_on_paper_and_large_cells():
     ]
     rows = per_jump_rows = 0
     for group, label in labels:
-        once, per_jump = _assert_conditions_once_match_per_jump(filt_object(rep_from_label(group, label), specs[group]), trivial[group])
+        a = filt_object(rep_from_label(group, label), specs[group])
+        once, per_jump = _assert_conditions_once_match_per_jump(a, trivial[group], monkeypatch)
         rows, per_jump_rows = rows + once, per_jump_rows + per_jump
     # the paper's flags have several steps, so the emission falls in total
     assert rows < per_jump_rows
@@ -410,7 +439,7 @@ def _random_flag(rng, dim):
     return cocharacter_filtration(RepData(dim, tuple((rng.randint(-2, 2),) for _ in range(dim)), ()), (1,))
 
 
-def test_conditions_once_match_per_jump_on_random_pairs():
+def test_conditions_once_match_per_jump_on_random_pairs(monkeypatch):
     rng = random.Random(53)
     for _ in range(200):
         ncons, nfilt = rng.randint(0, 2), rng.randint(1, 3)
@@ -419,4 +448,4 @@ def test_conditions_once_match_per_jump_on_random_pairs():
             cons = tuple(_diag(*(rng.choice((0, 1, 2)) for _ in range(dim))) for _ in range(ncons))
             filts = tuple(_random_flag(rng, dim) for _ in range(nfilt))
             objects.append(FiltObject(RepData(dim, ((0, 0),) * dim, ()), GroupActionData(dim, cons), filts))
-        _assert_conditions_once_match_per_jump(*objects)
+        _assert_conditions_once_match_per_jump(*objects, monkeypatch)
