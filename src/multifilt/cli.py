@@ -87,11 +87,12 @@ MAX_GRID_CELLS = 10_000
 # checked once the pair is read and checked, before any labeled
 # representation or system is built.  It equals
 # the largest built-in Hom system, a dimension-169 cell against the trivial
-# object.  Measured on the same host with random dense integer constraints
-# and a two-step flag on each side: a 13x13 pair takes 0.64 s with one
-# constraint and 4.2 s with three; a 16x16 pair (256 variables) takes 4.5 s
-# and 20 s, and 18x18 takes 11 s with one.  Peak RSS stays near 30 MB, so
-# time is what the bound limits.
+# object.  Measured with random dense integer constraints (entries -9..9) and
+# a two-step flag on each side, on a 2-vCPU shared host: a 13x13 pair takes
+# 1.0 s with one constraint and 0.6 s with three (a full-rank system stops
+# once it has a pivot in every column); a 16x16 pair (256 variables) takes
+# 4.4 s and 4.0 s, and 18x18 takes 11 s with one.  Peak RSS stays near
+# 25 MB, so time is what the bound limits.
 MAX_HOM_VARS = 169
 
 

@@ -11,10 +11,18 @@ Every scalar is a ``Fraction``; ``frac`` hands out one shared ``Fraction``
 per integer in a small fixed table (-256..256), so the integer entries of
 operators, constraints and flags cost a lookup rather than a construction.
 
-Elimination runs on integers.  Each row is scaled by the lcm of its
-denominators and reduced fraction-free on Python ints; rank stops at the
-echelon form, and the canonical ``Fraction`` reduced row echelon form is
-produced only at the boundary, by dividing each pivot row by its pivot once.
+Elimination runs on integers, in one pass that rank, rref and kernel share.
+Each nonzero row is scaled by the lcm of its denominators, divided by its
+content, and reduced against the rows kept so far, one per leading column,
+by the fraction-free step of Bareiss (1968) followed by content removal, so
+its entries stay no larger than minors of the integer matrix.  Rows are
+taken shortest first, the row-count form of the fill-reducing pivot order of
+Markowitz (1957): sparse rows become the pivots, reduction adds few
+nonzeros, and a sparse system costs about its nonzeros per pivot rather
+than rows x cols.  rank stops at these echelon rows; rref clears each at the
+later pivots and divides it by its pivot once, the only Fraction
+arithmetic; kernel writes the null-space rows of that form with the writer
+that annihilator_matrix uses.
 """
 
 from __future__ import annotations
@@ -280,76 +288,74 @@ def kron(a: Mat, b: Mat) -> Mat:
     return _mat(a.rows * b.rows, a.cols * b.cols, tuple(out))
 
 
-def _int_rows(m: Mat) -> list[list[int]]:
-    """The rows of m, each scaled by the lcm of its denominators and divided
-    by its content: primitive integer rows spanning the same row space."""
-    out = []
-    for row in m.sparse_rows:
-        ints = [0] * m.cols
-        if row:
-            den = lcm(*[x.denominator for _, x in row])
-            nums = [x.numerator * (den // x.denominator) for _, x in row]
-            g = gcd(*nums)
-            for (j, _), x in zip(row, nums):
-                ints[j] = x // g
-        out.append(ints)
-    return out
+def _echelon(m: Mat) -> dict[int, dict[int, int]]:
+    """Echelon rows of m keyed by leading column: primitive integer rows,
+    each a dict from column to nonzero int, spanning the row space of m.
 
-
-def _eliminate(rows: list[list[int]], cols: int, reduced: bool) -> list[int]:
-    """Fraction-free row reduction of primitive integer rows, in place.
-
-    In each column the pivot is the first nonzero row at or below the current
-    one.  Every other row with a nonzero entry there becomes the integer
-    combination that cancels it, divided by its content.  Such a row spans
-    the same line as the row Bareiss's method would hold, so its entries are
-    no larger than minors of the integer matrix.  Only rows below the pivot
-    are cleared unless ``reduced``, which clears the rows above too and
-    leaves each pivot row an integer multiple of its reduced row echelon row.
-    Returns the pivot columns; the pivot rows come first.
-    """
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        prow = rows[r]
-        a = prow[c]
-        for i in range(0 if reduced else r + 1, len(rows)):
-            b = rows[i][c]
-            if b and i != r:
-                g = gcd(a, b)
-                ka, kb = a // g, b // g
-                new = [ka * x - kb * y if y else ka * x for x, y in zip(rows[i], prow)]
-                g = gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+    The nonzero rows are taken shortest first, each scaled by the lcm of its
+    denominators and divided by its content, and reduced at its leading
+    column against the row kept there until it leads at a new column, where
+    it is kept, or vanishes.  Once a row is kept at every column, the rows
+    left lie in their span and are not read."""
+    rows: dict[int, dict[int, int]] = {}
+    for row in sorted(filter(None, m.sparse_rows), key=len):
+        den = lcm(*[x.denominator for _, x in row])
+        nums = [x.numerator * (den // x.denominator) for _, x in row]
+        g = gcd(*nums)
+        v = {j: x // g for (j, _), x in zip(row, nums)}
+        while v:
+            c = min(v)
+            if c not in rows:
+                rows[c] = v
+                break
+            v = _cancel(v, rows[c], c)
+        if len(rows) == m.cols:
             break
-    return pivots
+    return rows
+
+
+def _cancel(v: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
+    """The integer combination of v and p that is zero at column c, divided
+    by its content: v times p[c] / g minus p times v[c] / g, g their gcd.
+    A row reduced until it leads at a column is the primitive vector, in the
+    span of its own row and the rows kept left of that column, that vanishes
+    at their pivots: by Cramer's rule, minors of the integer rows divided by
+    their gcd, as in Bareiss's method, so its entries are no larger."""
+    a, b = p[c], v[c]
+    g = gcd(a, b)
+    ka, kb = a // g, b // g
+    out = {j: ka * x for j, x in v.items()} if ka != 1 else dict(v)
+    for j, y in p.items():
+        out[j] = out.get(j, 0) - kb * y
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items() if x}
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.  Row space is preserved.
 
-    The elimination runs on integer rows; each pivot row is divided by its
-    pivot once at the end, which is the only Fraction arithmetic.
+    The echelon rows of _echelon are cleared at the later pivots, last pivot
+    first, so each row is cleared against rows already reduced; each row is
+    then divided by its pivot once, which is the only Fraction arithmetic.
     """
-    rows = _int_rows(m)
-    pivots = _eliminate(rows, m.cols, reduced=True)
+    rows = _echelon(m)
+    pivots = sorted(rows)
+    for c in reversed(pivots):
+        row = rows[c]
+        for q in [j for j in row if j != c and j in rows]:
+            row = _cancel(row, rows[q], q)
+        rows[c] = row
     out = []
-    for row, c in zip(rows, pivots):
-        a = row[c]
-        out.append(tuple([(j, _ONE if x == a else Fraction(x, a)) for j, x in enumerate(row) if x]))
+    for c in pivots:
+        a = rows[c][c]
+        out.append(tuple([(j, _ONE if x == a else Fraction(x, a)) for j, x in sorted(rows[c].items())]))
     out.extend([()] * (m.rows - len(pivots)))
     return _mat(m.rows, m.cols, tuple(out)), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
-    return len(_eliminate(_int_rows(m), m.cols, reduced=False))
+    """Rank of m: the number of its echelon rows, with no back-substitution."""
+    return len(_echelon(m))
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -443,21 +449,10 @@ class Subspace:
         """Rows u with u.v = 0 for all v in the subspace; v lies in the
         subspace iff this matrix kills v.
 
-        Read off the echelon rows, with no elimination: one row per
-        non-pivot column c, holding 1 at c and -row_i[c] at the pivot p_i
-        of each basis row i.  Basis row i meets it in -row_i[c] + row_i[c],
-        since it is zero at the other pivots.  A basis row is nonzero at c
-        only if its pivot lies left of c, so the rows come out in stored
-        form; each is the unit vector at c among the non-pivot columns, so
-        they are unique to the subspace (though not the echelon basis of
-        its annihilator)."""
-        by_column: dict[int, list[tuple[int, Fraction]]] = {c: [] for c in range(self.ambient_dim)}
-        for row in self.sparse_rows:
-            p = row[0][0]
-            del by_column[p]
-            for j, x in row[1:]:
-                by_column[j].append((p, -x))
-        return _mat(len(by_column), self.ambient_dim, tuple([(*pairs, (c, _ONE)) for c, pairs in by_column.items()]))
+        Read off the echelon rows by _null_rows, with no elimination: one
+        row per non-pivot column, unique to the subspace (though not the
+        echelon basis of its annihilator)."""
+        return _null_rows(self.sparse_rows, self.ambient_dim)
 
     def contains_rows(self, m: Mat) -> bool:
         """Whether every row of m lies in the subspace.  A row w does exactly
@@ -538,19 +533,27 @@ def _is_echelon(rows: Sequence[SparseRow], n: int) -> bool:
     )
 
 
-def kernel(m: Mat) -> Subspace:
-    """Right kernel {v : m.v = 0} as a canonical subspace of QQ^cols.
+def _null_rows(rows: Sequence[SparseRow], n: int) -> Mat:
+    """The null-space rows of reduced row echelon rows in stored form: one
+    row per non-pivot column c of QQ^n, holding 1 at c and -row_i[c] at the
+    pivot p_i of each row i.  Row i meets it in -row_i[c] + row_i[c], since
+    it is zero at the other pivots.  A row is nonzero at c only if its pivot
+    lies left of c, so these rows come out in stored form too, and each is
+    the unit vector at c among the non-pivot columns."""
+    by_column: dict[int, list[tuple[int, Fraction]]] = {c: [] for c in range(n)}
+    for row in rows:
+        p = row[0][0]
+        del by_column[p]
+        for j, x in row[1:]:
+            by_column[j].append((p, -x))
+    return _mat(len(by_column), n, tuple([(*pairs, (c, _ONE)) for c, pairs in by_column.items()]))
 
-    Free column c gives the vector with 1 at c and -row[c] / row[pc] at the
-    pivot column pc of each reduced row; those pivots lie left of c."""
-    rows = _int_rows(m)
-    pivots = _eliminate(rows, m.cols, reduced=True)
-    pivot_set = set(pivots)
-    vecs = []
-    for c in range(m.cols):
-        if c not in pivot_set:
-            vecs.append(tuple([(pc, Fraction(-row[c], row[pc])) for row, pc in zip(rows, pivots) if row[c]] + [(c, _ONE)]))
-    return Subspace.row_space(_mat(len(vecs), m.cols, tuple(vecs)))
+
+def kernel(m: Mat) -> Subspace:
+    """Right kernel {v : m.v = 0} as a canonical subspace of QQ^cols: the
+    span of the null-space rows of the reduced row echelon rows of m."""
+    red, pivots = rref(m)
+    return Subspace.row_space(_null_rows(red.sparse_rows[: len(pivots)], m.cols))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

@@ -142,6 +142,16 @@ def test_hom_basis_composition_closure():
                     assert is_filtration_morphism(h, fa, fc)
 
 
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_large_matrix_cells_have_only_scalar_endomorphisms(n):
+    # the general Hom system of a cell with itself (3562 x 1469 at n = 12)
+    # solves to the identity alone, as the left kernel's multiplicity 1 and
+    # the cell's irreducibility suggest; a regression test, not a proven claim
+    spec = builtin_variety(TWO_BY_TWO_MATRICES)
+    a = filt_object(rep_from_label("GL2xGL2", ((n, 1), (n, 1))), spec)
+    assert hom_basis(a, a) == [Mat.identity(a.rep.dim)]
+
+
 def test_intertwiner_condition_on_basis():
     rng = random.Random(59)
     for _ in range(25):

@@ -4,7 +4,12 @@ inputs."""
 import random
 from fractions import Fraction
 
+from multifilt import homspaces
+from multifilt.gl2 import rep_from_label
+from multifilt.homspaces import grid_labels, hom_basis, hom_dim, multiplicity
 from multifilt.linalg import Mat, Subspace, kernel, rank, rref, subspace_contains
+from multifilt.varieties import BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES, builtin_variety
+from multifilt.verify import random_filt_object_pair
 from reference_paths import reference_rref, reference_subspace_contains
 
 
@@ -84,3 +89,84 @@ def test_subspace_contains_agrees_with_reference():
                 outside = [x + (1 if j == free else 0) for j, x in enumerate(member)]
                 assert not subspace_contains(s, outside)
                 assert not reference_subspace_contains(s, outside)
+
+
+def _sparse_matrix(rng: random.Random, rows: int, cols: int) -> Mat:
+    """Random sparse rows at one density in 5-30%, in one entry style, with
+    zero rows, repeated rows and rows that combine two earlier ones mixed in."""
+    style = rng.choice(("small", "rational", "huge"))
+    density = rng.uniform(0.05, 0.3)
+    out: list[list[Fraction]] = []
+    for _ in range(rows):
+        kind = rng.random()
+        if kind < 0.08:
+            out.append([Fraction(0)] * cols)
+        elif kind < 0.16 and out:
+            out.append(list(rng.choice(out)))
+        elif kind < 0.3 and out:
+            u, w = rng.choice(out), rng.choice(out)
+            c, d = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            out.append([c * x + d * y for x, y in zip(u, w)])
+        else:
+            out.append([(_entry(rng, style) or Fraction(1)) if rng.random() < density else Fraction(0) for _ in range(cols)])
+    return Mat(rows, cols, tuple(x for row in out for x in row))
+
+
+def _sparse_matrices(seed: int, count: int) -> list[Mat]:
+    rng = random.Random(seed)
+    edges = [Mat(0, n, ()) for n in (0, 1, 30)] + [Mat(n, 0, ()) for n in (1, 40)] + [Mat.zero(40, 30)]
+    return edges + [_sparse_matrix(rng, rng.randint(1, 40), rng.randint(1, 30)) for _ in range(count)]
+
+
+SPARSE_MATRICES = _sparse_matrices(2026, 120)
+
+
+def test_sparse_rank_rref_and_kernel_match_the_fraction_reference():
+    rng = random.Random(11)
+    for m in SPARSE_MATRICES:
+        ref_red, ref_pivots = reference_rref(m)
+        red, pivots = rref(m)
+        assert (red, pivots) == (ref_red, ref_pivots)
+        assert all(type(x) is Fraction for x in red.entries)
+        assert rank(m) == len(ref_pivots)
+        ker = kernel(m)
+        # a subspace of the reference's kernel dimension inside the kernel is the kernel
+        assert ker.dim() == m.cols - len(ref_pivots)
+        assert all(not any(m.matvec(v)) for v in ker.basis)
+        # the row order is the engine's own choice: permuting rows changes nothing
+        p = Mat.from_sparse_rows(rng.sample(m.sparse_rows, m.rows), m.cols)
+        assert rref(p) == (red, pivots) and rank(p) == len(pivots) and kernel(p) == ker
+
+
+def test_every_hom_system_ranks_as_the_fraction_reference(monkeypatch):
+    # each rank and kernel call of the Hom solver, with the rank it read
+    seen: list[tuple[Mat, int]] = []
+    real_rank, real_kernel = homspaces.rank, homspaces.kernel
+
+    def traced_rank(m):
+        r = real_rank(m)
+        seen.append((m, r))
+        return r
+
+    def traced_kernel(m):
+        ker = real_kernel(m)
+        assert all(not any(m.matvec(v)) for v in ker.basis)
+        seen.append((m, m.cols - ker.dim()))
+        return ker
+
+    monkeypatch.setattr(homspaces, "rank", traced_rank)
+    monkeypatch.setattr(homspaces, "kernel", traced_kernel)
+    forms, matrices = builtin_variety(BINARY_QUADRATIC_FORMS), builtin_variety(TWO_BY_TWO_MATRICES)
+    for label in grid_labels("GL2", range(0, 9), range(-6, 7)):
+        multiplicity(rep_from_label("GL2", label), forms)
+    labels = grid_labels("GL2xGL2", range(0, 5), range(-2, 4)) + [((n, 1), (n, 1)) for n in range(13)]
+    for label in labels:
+        multiplicity(rep_from_label("GL2xGL2", label), matrices)
+    rng = random.Random(41)
+    for _ in range(60):
+        a, b = random_filt_object_pair(rng, max_dim=6)
+        hom_dim(a, b)
+        hom_basis(a, b)
+    assert len(seen) >= 117 + 900 + 13 + 60
+    for m, r in seen:
+        assert r == len(reference_rref(m)[1]), (m.rows, m.cols)
