@@ -37,7 +37,6 @@ from .gl2 import (
     external_rep,
     irrep_gl2,
     rep_from_label,
-    restrict_to_diagonal,
     stabilizer_action_binary_forms,
 )
 from .homspaces import (

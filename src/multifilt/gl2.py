@@ -25,10 +25,13 @@ The determinant twist shifts h1 and h2 by m but leaves e and f alone.
 The stabilizer constraints of both built-in examples are written directly
 from their labels, in closed form, as column-convention sparse rows in
 stored form.  The binary-forms constraints are written whole.  The
-matrix-variety constraints hold their rows in a _RowsOnRequest: its torus
-pairs keep only their integer eigenvalues, which GroupActionData.diagonals
-hands over as they are, and each row of its general pairs is written when
-it is read, so a Hom solve writes the rows at the coordinates it keeps.
+matrix-variety constraints hold their rows in an _OnRequest, which writes
+each row when it is first read and keeps it, so a Hom solve writes the rows
+at the coordinates it keeps; its torus pairs also carry their integer
+eigenvalues, which GroupActionData.diagonals hands over as they are.  The
+operators of an external product are held the same way, each built when
+first read: nothing on the multiplicity path reads them, since the
+stabilizers and flags are written from the label and the weights.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb, prod
 
-from .linalg import _SMALL, Mat, SparseRow, _mat, check_dim, kron
+from .linalg import _SMALL, Mat, _mat, check_dim, kron
 
 Weight = tuple[int, ...]
 Gl2Label = tuple[int, int]
@@ -58,8 +61,9 @@ H_STYLES = (H_STYLE_LIE_ONLY, H_STYLE_LIE_PLUS_ELEMENTS)
 class RepData:
     """A representation as weight data plus explicit action operators.
 
-    The operators of an external product are built on first read (see
-    external_rep); any other sequence of operators is checked here."""
+    Each operator of an external product is built, and checked, when first
+    read (see external_rep); any other sequence of operators is checked
+    here."""
 
     dim: int
     weights: tuple[Weight, ...]
@@ -70,7 +74,7 @@ class RepData:
         check_dim(self.dim)
         if len(self.weights) != self.dim:
             raise ValueError("need one weight per basis vector")
-        if type(self.action_ops) is not _ProductOps:
+        if type(self.action_ops) is not _OnRequest:
             _check_ops(self.action_ops, self.dim)
 
 
@@ -80,75 +84,38 @@ def _check_ops(ops: Sequence[Mat], dim: int) -> None:
             raise ValueError("action operators must be square of the representation dimension")
 
 
-class _ProductOps(Sequence):
-    """The eight action operators of an external product, in the order of
-    the module docstring, built on first read and then kept.
+class _OnRequest(Sequence):
+    """A sequence of n items, item k built as build(k) on its first read and
+    then kept; build returns no None.
 
-    Nothing on the multiplicity path reads them: the stabilizers and flags
-    are written from the label and the weights.  ``len`` answers without
-    building them; indexing, iterating, ``==``, ``hash`` and ``repr`` build
-    all eight once and then behave as the tuple of them does."""
+    ``len`` builds nothing, and an int index builds that item alone (a
+    negative one counts from the end, as for a tuple).  Iterating, slicing,
+    ``+`` on either side, ``==``, ``hash`` and ``repr`` build every item and
+    behave as the tuple of them does, so a Mat holding the rows of a
+    constraint this way equals, hashes, prints and stacks as the Mat of
+    those rows.  A diagonal constraint's rows are written from its
+    ``eigenvalues``, which GroupActionData.diagonals reads without reading a
+    row; they are None for the rows of any other constraint and for
+    operators."""
 
-    __slots__ = ("_left", "_right", "_ops")
+    __slots__ = ("_build", "_items", "eigenvalues")
 
-    def __init__(self, left: RepData, right: RepData) -> None:
-        self._left, self._right, self._ops = left, right, None
-
-    def _built(self) -> tuple[Mat, ...]:
-        if self._ops is None:
-            left, right = self._left, self._right
-            il, ir = Mat.identity(left.dim), Mat.identity(right.dim)
-            ops = tuple(kron(op, ir) for op in left.action_ops) + tuple(kron(il, op) for op in right.action_ops)
-            _check_ops(ops, left.dim * right.dim)
-            self._ops = ops
-        return self._ops
+    def __init__(self, n: int, build: Callable[[int], object], eigenvalues: tuple[int, ...] | None = None) -> None:
+        self._build, self._items, self.eigenvalues = build, [None] * n, eigenvalues
 
     def __len__(self) -> int:
-        return len(self._left.action_ops) + len(self._right.action_ops)
+        return len(self._items)
 
     def __getitem__(self, k):
-        return self._built()[k]
-
-    def __eq__(self, other: object) -> bool:
-        return self._built() == other
-
-    def __hash__(self) -> int:
-        return hash(self._built())
-
-    def __repr__(self) -> str:
-        return repr(self._built())
-
-
-class _RowsOnRequest(Sequence):
-    """The stored-form rows of a dim x dim constraint, each written when it
-    is read: given eigenvalues, the constraint is diagonal and row c holds
-    eigenvalue c (nothing where it is zero); otherwise write(c) writes row c.
-
-    A Mat holding this in place of its row tuple is the constraint.  ``len``
-    and the Mat's ``rows`` and ``cols`` write nothing, and reading one row
-    writes that row.  Nothing is kept: iterating, slicing, concatenating,
-    ``==``, ``hash`` and ``repr`` write every row and behave as the tuple of
-    them does, so the Mat equals, hashes, prints and stacks as the Mat of
-    those rows."""
-
-    __slots__ = ("_dim", "_write", "eigenvalues")
-
-    def __init__(self, dim: int, write: Callable[[int], SparseRow] | None = None, eigenvalues: tuple[int, ...] | None = None) -> None:
-        self._dim, self._write, self.eigenvalues = dim, write, eigenvalues
-
-    def __len__(self) -> int:
-        return self._dim
-
-    def __getitem__(self, c):
-        if type(c) is not int or not 0 <= c < self._dim:
-            return tuple(self)[c]
-        if self._write is not None:
-            return self._write(c)
-        x = self.eigenvalues[c]
-        return ((c, _SMALL[x]),) if x else ()
+        if type(k) is not int:
+            return tuple(self)[k]
+        item = self._items[k]
+        if item is None:
+            item = self._items[k] = self._build(k % len(self._items))
+        return item
 
     def __iter__(self):
-        return map(self.__getitem__, range(self._dim))
+        return map(self.__getitem__, range(len(self._items)))
 
     def __add__(self, other: tuple) -> tuple:
         return tuple(self) + other
@@ -192,7 +159,7 @@ class GroupActionData:
         entries come back as ints: the Hom solvers compare them one basis
         vector at a time, and two ints compare far cheaper than Fractions."""
         return tuple(
-            [k.sparse_rows.eigenvalues if type(k.sparse_rows) is _RowsOnRequest else _diagonal(k) for k in self.intertwiner_constraints]
+            [k.sparse_rows.eigenvalues if type(k.sparse_rows) is _OnRequest else _diagonal(k) for k in self.intertwiner_constraints]
         )
 
 
@@ -256,22 +223,19 @@ def clebsch_gordan(a: Gl2Label, b: Gl2Label) -> tuple[Gl2Label, ...]:
 def external_rep(a: Gl2Label, b: Gl2Label) -> RepData:
     """External product of two GL2 irreducibles as a GL2 x GL2 representation.
 
-    Its Kronecker-product operators are built on first read."""
+    Each of its Kronecker-product operators is built when first read."""
     left = irrep_gl2(*a)
     right = irrep_gl2(*b)
     weights = tuple(w1 + w2 for w1 in left.weights for w2 in right.weights)
-    return RepData(left.dim * right.dim, weights, _ProductOps(left, right), label=(a, b))
+    return RepData(left.dim * right.dim, weights, _OnRequest(8, partial(_product_op, left, right)), label=(a, b))
 
 
-def restrict_to_diagonal(w: RepData) -> RepData:
-    """Restriction of a GL2 x GL2 representation to the diagonal copy of GL2."""
-    if any(len(x) != 4 for x in w.weights):
-        raise ValueError("diagonal restriction expects 4-component weights")
-    if len(w.action_ops) != 8:
-        raise ValueError("diagonal restriction expects paired factor operators")
-    weights = tuple((a + c, b + d) for (a, b, c, d) in w.weights)
-    ops = tuple(w.action_ops[k] + w.action_ops[k + 4] for k in range(4))
-    return RepData(w.dim, weights, ops, label=None)
+def _product_op(left: RepData, right: RepData, k: int) -> Mat:
+    """Operator k of the external product, in the order of the module
+    docstring, checked for shape as RepData checks a tuple of operators."""
+    op = kron(left.action_ops[k], Mat.identity(right.dim)) if k < 4 else kron(Mat.identity(left.dim), right.action_ops[k - 4])
+    _check_ops((op,), left.dim * right.dim)
+    return op
 
 
 def stabilizer_action_binary_forms(n: int, m: int, style: str = H_STYLE_LIE_PLUS_ELEMENTS) -> GroupActionData:

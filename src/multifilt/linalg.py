@@ -233,7 +233,8 @@ def _mat(rows: int, cols: int, sparse_rows: tuple[SparseRow, ...]) -> Mat:
     small integer).  Rows written in this form by construction skip that
     constructor's per-entry checks.  In place of the tuple, a sequence that
     writes such rows on request and otherwise behaves as their tuple does
-    is taken too (the matrix-variety constraints of gl2)."""
+    is taken too (gl2._OnRequest, which holds the matrix-variety
+    constraints)."""
     m = object.__new__(Mat)
     _init_mat(m, rows, cols, sparse_rows)
     return m

@@ -31,12 +31,12 @@ Conventions pinned by the built-ins (printed by the CLI as well):
   {(g, transpose-inverse of g)}, a connected copy of GL2, realized on a
   product representation by pairing each factor operator with minus the
   transposed operator of the other factor.  The constraints are written
-  from the label on request (see gl2._RowsOnRequest): the torus pairs are
-  diagonal and kept as their eigenvalues, the weight differences, which
-  the Hom solver reads without reading a row; e x 1 - 1 x f and
-  f x 1 - 1 x e have at most two nonzeros per row, and each row is written
-  in stored form (see linalg._mat) when the solver reads it, so a cell
-  writes only the rows at the coordinates its solve keeps.
+  from the label on request (see gl2._OnRequest): each row is written in
+  stored form (see linalg._mat) when the solver first reads it, and kept,
+  so a cell writes only the rows at the coordinates its solve keeps, each
+  once.  The torus pairs are diagonal and carry their eigenvalues, the
+  weight differences, which the Hom solver reads without reading a row;
+  e x 1 - 1 x f and f x 1 - 1 x e have at most two nonzeros per row.
   Boundary cocharacter (1, 1, 0, -1).
 """
 
@@ -55,7 +55,7 @@ from .gl2 import (
     H_STYLES,
     RepData,
     Weight,
-    _RowsOnRequest,
+    _OnRequest,
     external_rep,
     irrep_gl2,
     label_factors,
@@ -178,9 +178,15 @@ def _matrix_variety_stabilizer(rep: RepData, style: str) -> GroupActionData:
     # the torus pairs h11 - h21 and h12 - h22 are diagonal, with the
     # differences of the two factors' weights as eigenvalues; the general
     # pairs are diagonal only on a line (n1 = n2 = 0), where they are zero
-    rows = [_RowsOnRequest(dim, partial(write, n1, n2), (0,) if dim == 1 else None) for write in (_e_f_row, _f_e_row)]
-    rows += [_RowsOnRequest(dim, eigenvalues=tuple([w[a] - w[a + 2] for w in rep.weights])) for a in (0, 1)]
+    rows = [_OnRequest(dim, partial(write, n1, n2), (0,) if dim == 1 else None) for write in (_e_f_row, _f_e_row)]
+    torus = [tuple([w[a] - w[a + 2] for w in rep.weights]) for a in (0, 1)]
+    rows += [_OnRequest(dim, partial(_diagonal_row, eigenvalues), eigenvalues) for eigenvalues in torus]
     return GroupActionData(dim, tuple([_mat(dim, dim, r) for r in rows]))
+
+
+def _diagonal_row(eigenvalues: tuple[int, ...], c: int) -> SparseRow:
+    # row c of the diagonal matrix of the eigenvalues, empty where one is 0
+    return ((c, _SMALL[eigenvalues[c]]),) if eigenvalues[c] else ()
 
 
 # Basis vector (i, k) of the product sits at r = i * (n2 + 1) + k.  On a

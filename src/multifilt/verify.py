@@ -37,6 +37,8 @@ from .varieties import (
 ROUND_TRIP_COUNT = 200
 HOM_PROPERTY_COUNT = 100
 DEFAULT_SEED = 20240811
+# draws random_invertible makes before it gives up
+MAX_INVERTIBLE_DRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,12 @@ class ClaimResult:
 
 
 def random_invertible(rng: random.Random, dim: int) -> Mat:
-    while True:
+    """A random invertible dim x dim matrix with small rational entries.
+
+    A draw is singular with small probability (1/9 at dim 1), so
+    MAX_INVERTIBLE_DRAWS singular draws in a row point to a fault in rank:
+    raise then, rather than draw forever."""
+    for _ in range(MAX_INVERTIBLE_DRAWS):
         rows = [
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
             for _ in range(dim)
@@ -56,6 +63,7 @@ def random_invertible(rng: random.Random, dim: int) -> Mat:
         m = Mat.from_rows(rows, dim)
         if rank(m) == dim:
             return m
+    raise RuntimeError(f"no invertible {dim} x {dim} matrix in {MAX_INVERTIBLE_DRAWS} random draws")
 
 
 def random_filtered_space(

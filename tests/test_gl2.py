@@ -11,7 +11,6 @@ from multifilt.gl2 import (
     external_rep,
     irrep_gl2,
     rep_from_label,
-    restrict_to_diagonal,
     stabilizer_action_binary_forms,
     weights_of_label,
 )
@@ -120,23 +119,6 @@ def test_rep_from_label_rejects_malformed_labels(group, label):
 def test_rep_from_label_reads_lists():
     assert rep_from_label("GL2", [2, 0]).label == (2, 0)
     assert rep_from_label("GL2xGL2", [[1, 0], (2, 1)]).label == ((1, 0), (2, 1))
-
-
-def test_restrict_to_diagonal():
-    prod = external_rep((1, 0), (1, 0))
-    res = restrict_to_diagonal(prod)
-    assert Counter(res.weights) == Counter([(2, 0), (1, 1), (1, 1), (0, 2)])
-    expected = Counter()
-    for lab in clebsch_gordan((1, 0), (1, 0)):
-        expected.update(weights_of_label(lab))
-    assert Counter(res.weights) == expected
-
-    assert restrict_to_diagonal(external_rep((0, 0), (0, 0))).weights == ((0, 0),)
-    nm = external_rep((2, -1), (0, 0))
-    assert Counter(restrict_to_diagonal(nm).weights) == Counter(weights_of_label((2, -1)))
-
-    with pytest.raises(ValueError):
-        restrict_to_diagonal(irrep_gl2(1, 0))
 
 
 def _fixed_space_dim(action):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from multifilt.filtration import GradedVectorSpace, associated_graded, make_filtered
 from multifilt.linalg import AmbientMismatch, Subspace
 from multifilt.rees import GradedFreeModule, RankDeficient, derees, fiber_at_zero, rees_construct
+from multifilt import verify
 from multifilt.verify import random_filtered_space, random_invertible
 from reference_paths import reference_derees
 
@@ -75,6 +77,18 @@ def _outcome(f, m):
         return f(m)
     except (RankDeficient, AmbientMismatch) as exc:
         return type(exc), str(exc)
+
+
+def test_random_invertible_gives_up_when_rank_undercounts(monkeypatch):
+    # a rank that never reads full would hang an unbounded draw loop
+    monkeypatch.setattr(verify, "rank", lambda m: m.rows - 1)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"no invertible 3 x 3 matrix in 100 random draws"):
+        random_invertible(random.Random(1), 3)
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.undo()
+    m = random_invertible(random.Random(1), 3)
+    assert m.rows == m.cols == 3 and verify.rank(m) == 3
 
 
 def _random_module(rng: random.Random, dim: int) -> GradedFreeModule:

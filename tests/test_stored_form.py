@@ -1,19 +1,22 @@
-"""The deferred Kronecker-product operators of an external product against
-the eager construction, and the stored form of the stabilizer constraints
-and cocharacter flags that the Hom solver reads."""
+"""The Kronecker-product operators of an external product, each built on
+first read, against the eager construction; the on-request sequence that
+holds them and the matrix-variety constraint rows against its tuple; and
+the stored form of the stabilizer constraints and cocharacter flags that
+the Hom solver reads."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from multifilt import gl2, homspaces, linalg
-from multifilt.gl2 import H_STYLES, RepData, external_rep, irrep_gl2, rep_from_label, restrict_to_diagonal
+from multifilt import gl2, homspaces, linalg, varieties
+from multifilt.gl2 import H_STYLES, RepData, external_rep, irrep_gl2, rep_from_label
 from multifilt.homspaces import filt_object, grid_labels, multiplicity
-from multifilt.linalg import Mat, Subspace, kron
+from multifilt.linalg import Mat, Subspace, kron, vstack
 from multifilt.varieties import BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES, builtin_variety, cocharacter_filtration
 from multifilt.verify import random_filt_object_pair
-from reference_paths import reference_external_rep
+from reference_paths import reference_eager_matrix_stabilizer, reference_external_rep
 
 
 def _product_labels():
@@ -27,7 +30,6 @@ def _assert_same_as_eager(rep: RepData, ref: RepData) -> None:
     assert rep.action_ops == ref.action_ops and ref.action_ops == rep.action_ops
     assert rep == ref and ref == rep
     assert hash(rep) == hash(ref) and repr(rep) == repr(ref)
-    assert restrict_to_diagonal(rep) == restrict_to_diagonal(ref)
 
 
 def test_deferred_product_matches_eager_reference():
@@ -41,30 +43,78 @@ def test_product_ops_are_built_once_on_first_read(monkeypatch):
     calls = []
     monkeypatch.setattr(gl2, "kron", lambda a, b: calls.append((a, b)) or kron(a, b))
     rep = external_rep((3, 1), (2, 0))
+    ref = reference_external_rep((3, 1), (2, 0))
     assert len(rep.action_ops) == 8 and not calls
     # what the benchmark's trace reads of a result builds nothing either
     assert hasattr(rep, "action_ops") and rep.dim == 12 and not calls
-    first = rep.action_ops[0]
-    assert len(calls) == 8
-    assert list(rep.action_ops)[0] is first and rep.action_ops[-1] is rep.action_ops[7]
-    assert hash(rep) == hash(rep) and repr(rep) == repr(rep)
+    # one read builds that operator alone, once, and keeps it
+    first = rep.action_ops[5]
+    assert len(calls) == 1 and first == ref.action_ops[5]
+    assert rep.action_ops[5] is first and rep.action_ops[-3] is first and len(calls) == 1
+    # a full read builds the other seven, and keeps the one already built
+    assert list(rep.action_ops)[5] is first and len(calls) == 8
+    assert rep.action_ops == ref.action_ops and rep == ref
+    assert hash(rep) == hash(ref) and repr(rep) == repr(ref)
     assert len(calls) == 8
     assert rep == external_rep((3, 1), (2, 0))
     assert len(calls) == 16  # the second product built its own, once
 
 
-def test_operator_shapes_are_checked():
+def test_operator_shapes_are_checked(monkeypatch):
     with pytest.raises(ValueError, match="square of the representation dimension"):
         RepData(2, ((0, 0),) * 2, (Mat.identity(3),))
     with pytest.raises(ValueError, match="square of the representation dimension"):
         RepData(2, ((0, 0),) * 2, [Mat.identity(2), Mat.zero(2, 3)])
-    # a deferred product checks its operators when they are built
-    right = irrep_gl2(1, 0)
-    object.__setattr__(right, "action_ops", (Mat.identity(3),) * 4)
-    rep = RepData(4, ((0, 0, 0, 0),) * 4, gl2._ProductOps(irrep_gl2(1, 0), right))
+
+    # an external product checks each operator when it is built: a
+    # wrong-shaped right factor spoils operators 4..7 alone
+    def irrep(n: int, m: int) -> RepData:
+        rep = irrep_gl2(n, m)
+        if m == 1:
+            object.__setattr__(rep, "action_ops", (Mat.identity(n + 2),) * 4)
+        return rep
+
+    monkeypatch.setattr(gl2, "irrep_gl2", irrep)
+    rep = external_rep((1, 0), (1, 1))
     assert len(rep.action_ops) == 8
-    with pytest.raises(ValueError, match="square of the representation dimension"):
-        rep.action_ops[0]
+    assert rep.action_ops[3] == reference_external_rep((1, 0), (1, 1)).action_ops[3]
+    for k in (4, -1):
+        with pytest.raises(ValueError, match="square of the representation dimension"):
+            rep.action_ops[k]
+
+
+def test_on_request_behaves_as_its_tuple(monkeypatch):
+    writes = Counter()
+    for name in ("_e_f_row", "_diagonal_row"):
+        real = getattr(varieties, name)
+        monkeypatch.setattr(varieties, name, lambda *args, real=real, name=name: writes.update([name]) or real(*args))
+    spec = builtin_variety(TWO_BY_TWO_MATRICES)
+    label = ((2, 1), (1, 0))
+    rep = rep_from_label("GL2xGL2", label)
+    ops, constraints = rep.action_ops, spec.stabilizer_action(rep).intertwiner_constraints
+    e_f, torus = constraints[0].sparse_rows, constraints[2].sparse_rows
+    # each row is written once, when first read
+    assert e_f[4] is e_f[4] and torus[4] is torus[-2] and writes == {"_e_f_row": 1, "_diagonal_row": 1}
+    refs = reference_eager_matrix_stabilizer(rep)
+    for seq, ref in ((ops, reference_external_rep(*label).action_ops), (e_f, refs[0].sparse_rows), (torus, refs[2].sparse_rows)):
+        assert type(seq) is gl2._OnRequest and len(seq) == len(ref)
+        for k in (0, 3, -1, -len(ref)):
+            assert seq[k] == ref[k]
+        for k in (len(ref), -len(ref) - 1):
+            with pytest.raises(IndexError):
+                seq[k]
+        for cut in (slice(1, 4), slice(None, None, -2), slice(-3, None), slice(5, 2)):
+            assert seq[cut] == ref[cut] and type(seq[cut]) is tuple
+        assert all(x in seq for x in ref) and Mat.identity(len(ref)) not in seq
+        assert [seq.index(x) for x in ref] == [ref.index(x) for x in ref]
+        assert [seq.count(x) for x in ref] == [ref.count(x) for x in ref]
+        assert list(reversed(seq)) == list(reversed(ref))
+        assert seq + ref == ref + seq == ref + ref and seq + () == ref
+    assert writes == {"_e_f_row": 6, "_diagonal_row": 6}
+    # the constraints stack on either side, as their Mats of rows do
+    for k, (m, ref) in enumerate(zip(constraints, refs)):
+        assert vstack(m, ref) == vstack(ref, m) == vstack(ref, ref)
+        assert m.sparse_rows.eigenvalues == (gl2._diagonal(ref) if k >= 2 else None)
 
 
 def _assert_sorted_fractions(m: Mat) -> None:
