@@ -10,19 +10,27 @@ its nonzeros: a coordinate subspace costs one entry per basis vector.
 Every scalar is a ``Fraction``; ``frac`` hands out one shared ``Fraction``
 per integer in a small fixed table (-256..256), so the integer entries of
 operators, constraints and flags cost a lookup rather than a construction.
+Only what ``frac`` and the built-in recipes write holds the table's objects:
+computed values (products, eliminations) are fresh ``Fraction``s, equal to
+them but not the same objects, except that a row divided by its pivot holds
+``_ONE`` wherever it is 1.  Nothing depends on identity: ``kron`` copies a
+factor that is ``_ONE`` rather than multiplying, and computes the same entry
+otherwise.
 
-Elimination runs on integers, in one pass that rank, rref and kernel share.
-Each nonzero row is scaled by the lcm of its denominators, divided by its
-content, and reduced against the rows kept so far, one per leading column,
-by the fraction-free step of Bareiss (1968) followed by content removal, so
-its entries stay no larger than minors of the integer matrix.  Rows are
-taken shortest first, the row-count form of the fill-reducing pivot order of
-Markowitz (1957): sparse rows become the pivots, reduction adds few
-nonzeros, and a sparse system costs about its nonzeros per pivot rather
-than rows x cols.  rank stops at these echelon rows; rref clears each at the
-later pivots and divides it by its pivot once, the only Fraction
+Every elimination runs on integers, by one step.  Each nonzero row is scaled
+by the lcm of its denominators, divided by its content, and reduced against
+the rows kept so far, one per leading column, by the fraction-free step of
+Bareiss (1968) followed by content removal, so its entries stay no larger
+than minors of the integer matrix.  rank, rref and kernel share one pass.
+Its rows are taken shortest first, the row-count form of the fill-reducing
+pivot order of Markowitz (1957): sparse rows become the pivots, reduction
+adds few nonzeros, and a sparse system costs about its nonzeros per pivot
+rather than rows x cols.  rank stops at these echelon rows; rref clears each
+at the later pivots and divides it by its pivot once, the only Fraction
 arithmetic; kernel writes the null-space rows of that form with the writer
-that annihilator_matrix uses.
+that annihilator_matrix uses.  The incremental extension that derees uses
+keeps such cleared integer rows and adds one vector at a time with the same
+step, and the caller divides only the rows a vector changed.
 """
 
 from __future__ import annotations
@@ -229,8 +237,11 @@ def _mat(rows: int, cols: int, sparse_rows: tuple[SparseRow, ...]) -> Mat:
 
     Stored form is what ``Mat.from_sparse_rows`` makes of its input: a tuple
     of row tuples, columns increasing and below cols, no zero values, and
-    every value a ``Fraction`` as ``frac`` gives it (the shared one for a
-    small integer).  Rows written in this form by construction skip that
+    every value a ``Fraction``.  The constructors coerce through ``frac``, so
+    a small integer there is the shared one; computed rows (rref,
+    ``Mat.__matmul__``) hold fresh ``Fraction``s apart from the ``_ONE``s of
+    a row divided by its pivot, and no reader relies on identity (see kron).  Rows
+    written in this form by construction skip that
     constructor's per-entry checks.  In place of the tuple, a sequence that
     writes such rows on request and otherwise behaves as their tuple does
     is taken too (gl2._OnRequest, which holds the matrix-variety
@@ -300,10 +311,7 @@ def _echelon(m: Mat) -> dict[int, dict[int, int]]:
     left lie in their span and are not read."""
     rows: dict[int, dict[int, int]] = {}
     for row in sorted(filter(None, m.sparse_rows), key=len):
-        den = lcm(*[x.denominator for _, x in row])
-        nums = [x.numerator * (den // x.denominator) for _, x in row]
-        g = gcd(*nums)
-        v = {j: x // g for (j, _), x in zip(row, nums)}
+        v = _primitive(row)
         while v:
             c = min(v)
             if c not in rows:
@@ -332,6 +340,23 @@ def _cancel(v: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
     return {j: x // g for j, x in out.items() if x}
 
 
+def _primitive(row: SparseRow) -> dict[int, int]:
+    """The stored-form row scaled by the lcm of its denominators and divided
+    by its content: a primitive integer row, column to nonzero int (empty
+    for the zero row)."""
+    den = lcm(*[x.denominator for _, x in row])
+    nums = [x.numerator * (den // x.denominator) for _, x in row]
+    g = gcd(*nums)
+    return {j: x // g for (j, _), x in zip(row, nums)}
+
+
+def _unit_row(row: dict[int, int], c: int) -> SparseRow:
+    """The integer row divided by its entry at its pivot c, in stored form:
+    _ONE at c, and wherever else the row equals its pivot entry."""
+    a = row[c]
+    return tuple([(j, _ONE if x == a else Fraction(x, a)) for j, x in sorted(row.items())])
+
+
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.  Row space is preserved.
 
@@ -346,10 +371,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         for q in [j for j in row if j != c and j in rows]:
             row = _cancel(row, rows[q], q)
         rows[c] = row
-    out = []
-    for c in pivots:
-        a = rows[c][c]
-        out.append(tuple([(j, _ONE if x == a else Fraction(x, a)) for j, x in sorted(rows[c].items())]))
+    out = [_unit_row(rows[c], c) for c in pivots]
     out.extend([()] * (m.rows - len(pivots)))
     return _mat(m.rows, m.cols, tuple(out)), tuple(pivots)
 
@@ -460,7 +482,7 @@ class Subspace:
         when w minus w[p] times the basis row of pivot p, summed over the
         pivots p, vanishes: each basis row is zero in the other pivot
         columns, so these coefficients are read off w itself."""
-        if m.rows and m.cols != self.ambient_dim:
+        if m.cols != self.ambient_dim:
             raise AmbientMismatch("vector length does not match ambient dimension")
         by_pivot = {row[0][0]: row for row in self.sparse_rows}
         for w in m.sparse_rows:
@@ -485,30 +507,30 @@ def _subspace(ambient_dim: int, sparse_rows: tuple[SparseRow, ...]) -> Subspace:
     return s
 
 
-def _extend_echelon(rows: dict[int, SparseRow], v: SparseRow) -> bool:
-    """Add the stored-form row v to reduced row echelon rows keyed by pivot,
-    in place, keeping them reduced; False, with rows unchanged, when v
-    already lies in their span.
+def _extend_echelon(rows: dict[int, dict[int, int]], v: SparseRow) -> list[int]:
+    """Add the stored-form row v, in place, to echelon rows keyed by pivot:
+    primitive integer rows, each leading at its pivot and zero at every
+    other pivot, as rref holds them before its division.  Returns the
+    pivots of the rows that changed, the new row's first, or an empty list,
+    with rows unchanged, when v already lies in their span.
 
-    v is reduced against the rows with its coefficients read off v itself,
-    as in Subspace.contains_rows.  What is left is scaled to a leading 1 at
-    its pivot q and subtracted from every row that is nonzero at q: one
-    back-substitution, since it is zero at every other pivot."""
-    rest = dict(v)
-    for p, c in v:
-        for j, x in rows.get(p, ()):
-            rest[j] = rest[j] - c * x if j in rest else -c * x
-    new = sorted([(j, x) for j, x in rest.items() if x])
+    v is made primitive and cancelled (_cancel) at each pivot where it is
+    nonzero; the rows are zero at each other's pivots, so one cancellation
+    per pivot clears it there.  What is left leads at a new pivot q and is
+    cancelled out of every row that is nonzero at q."""
+    new = _primitive(v)
+    for p in [j for j in new if j in rows]:
+        new = _cancel(new, rows[p], p)
     if not new:
-        return False
-    q, lead = new[0]
-    new = ((q, _ONE), *[(j, x / lead) for j, x in new[1:]])
+        return []
+    q = min(new)
+    changed = [q]
     for p, row in rows.items():
-        c = next((x for j, x in row if j == q), None)
-        if c is not None:
-            rows[p] = _row_sum(row, tuple([(j, -c * x) for j, x in new]))
+        if q in row:
+            rows[p] = _cancel(row, new, q)
+            changed.append(p)
     rows[q] = new
-    return True
+    return changed
 
 
 def _is_echelon(rows: Sequence[SparseRow], n: int) -> bool:

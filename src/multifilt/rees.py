@@ -6,8 +6,10 @@ The inverse direction reads the filtration off by degree thresholds: a
 vector lies in F(p) exactly when x^(-p) times it stays inside the module.
 So the steps are the spans of the generators of degree at most -p, each the
 previous step plus the next degree's generators: they are built by
-extending one reduced echelon form, a degree at a time, and each step is
-that form as it stands after its degree.
+extending one echelon form of primitive integer rows, a degree at a time,
+and each step is that form as it stands after its degree, divided to unit
+pivots.  Each step divides only the rows its degree changed and shares the
+rest with the step before.
 The fiber of the module at x = 0 recovers the associated graded space,
 with the grading reversed.
 """
@@ -19,7 +21,7 @@ from itertools import groupby
 from operator import index, itemgetter
 
 from .filtration import FilteredSpace, GradedVectorSpace, adapted_basis
-from .linalg import AmbientMismatch, SparseRow, Vector, _extend_echelon, _nonzeros, _subspace, check_dim, vector
+from .linalg import AmbientMismatch, SparseRow, Vector, _extend_echelon, _nonzeros, _subspace, _unit_row, check_dim, vector
 
 
 class RankDeficient(ValueError):
@@ -52,10 +54,12 @@ def rees_construct(fs: FilteredSpace) -> GradedFreeModule:
 def derees(m: GradedFreeModule) -> FilteredSpace:
     """Recover the filtration: F(p) is spanned by generators of degree <= -p.
 
-    Generators join one reduced echelon form in order of degree, and F(-d)
-    is that form after the generators of degree d.  Independent generators
-    make every step strictly larger than the one before, so the steps are
-    already normalized.
+    Generators join one echelon form of integer rows in order of degree,
+    and F(-d) is that form after the generators of degree d, each row
+    divided by its pivot.  Only the rows that degree changed are divided
+    again; the others keep the rows of the step before.  Independent
+    generators make every step strictly larger than the one before, so the
+    steps are already normalized.
     """
     n = m.ambient_dim
     if len(m.generators) != n:
@@ -63,13 +67,19 @@ def derees(m: GradedFreeModule) -> FilteredSpace:
     gens = [(d, vector(v)) for v, d in m.generators]
     if any(len(v) != n for _, v in gens):
         raise AmbientMismatch("spanning vector length does not match ambient dimension")
-    rows: dict[int, SparseRow] = {}
+    rows: dict[int, dict[int, int]] = {}
+    units: dict[int, SparseRow] = {}
     steps = []
     for d, batch in groupby(sorted(gens, key=itemgetter(0)), key=itemgetter(0)):
+        changed = set()
         for _, v in batch:
-            if not _extend_echelon(rows, _nonzeros(v)):
+            new = _extend_echelon(rows, _nonzeros(v))
+            if not new:
                 raise RankDeficient(_NOT_BASIS)
-        steps.append((-d, _subspace(n, tuple([rows[p] for p in sorted(rows)]))))
+            changed.update(new)
+        for p in changed:
+            units[p] = _unit_row(rows[p], p)
+        steps.append((-d, _subspace(n, tuple([units[p] for p in sorted(units)]))))
     return FilteredSpace(n, tuple(reversed(steps)))
 
 

@@ -19,6 +19,7 @@ Kronecker-product operators built up front, and the multiplicity that
 builds a fresh trivial object for every call and solves the general Hom
 system to it rather than a left kernel, and the de-Rees map that spans
 every prefix of generators afresh and normalizes through make_filtered,
+the reduced echelon form extended one vector at a time in Fractions,
 the annihilator of a subspace as the kernel of its basis, found by
 elimination, and the filtration-morphism check at every jump of either
 side.  They live only here, so that tests can compare the library
@@ -37,7 +38,7 @@ from multifilt.characters import WeightMultiset
 from multifilt.filtration import FilteredSpace, make_filtered
 from multifilt.gl2 import GROUP_FACTORS, H_STYLE_LIE_PLUS_ELEMENTS, Gl2Label, RepData, Weight, external_rep, irrep_gl2, label_factors
 from multifilt.homspaces import FiltObject, filt_object, hom_dim
-from multifilt.linalg import _SMALL, AmbientMismatch, Mat, Subspace, _mat, kernel, kron, rank, vector
+from multifilt.linalg import _ONE, _SMALL, AmbientMismatch, Mat, SparseRow, Subspace, _mat, _row_sum, kernel, kron, rank, vector
 from multifilt.rees import GradedFreeModule, RankDeficient
 from multifilt.varieties import Cocharacter, VarietySpec, pairing
 
@@ -421,3 +422,29 @@ def reference_derees(m: GradedFreeModule) -> FilteredSpace:
     for d in sorted({d for _, d in m.generators}):
         steps[-d] = Subspace.span(m.ambient_dim, [v for v, dg in m.generators if dg <= d])
     return make_filtered(m.ambient_dim, steps)
+
+
+def reference_extend_echelon(rows: dict[int, SparseRow], v: SparseRow) -> bool:
+    """Add the stored-form row v to reduced row echelon rows keyed by pivot,
+    in place, keeping them reduced, in Fraction arithmetic; False, with rows
+    unchanged, when v already lies in their span.
+
+    v is reduced against the rows with its coefficients read off v itself,
+    as in Subspace.contains_rows.  What is left is scaled to a leading 1 at
+    its pivot q and subtracted from every row that is nonzero at q: one
+    back-substitution, since it is zero at every other pivot."""
+    rest = dict(v)
+    for p, c in v:
+        for j, x in rows.get(p, ()):
+            rest[j] = rest[j] - c * x if j in rest else -c * x
+    new = sorted([(j, x) for j, x in rest.items() if x])
+    if not new:
+        return False
+    q, lead = new[0]
+    new = ((q, _ONE), *[(j, x / lead) for j, x in new[1:]])
+    for p, row in rows.items():
+        c = next((x for j, x in row if j == q), None)
+        if c is not None:
+            rows[p] = _row_sum(row, tuple([(j, -c * x) for j, x in new]))
+    rows[q] = new
+    return True

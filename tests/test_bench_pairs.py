@@ -175,3 +175,40 @@ def test_rss_headroom_share_is_the_headroom_over_the_base_median_ops():
 def test_pair_line_shows_both_sides_speed_and_memory():
     got = {"base": bench_pairs.parse_result(_stdout(923.0, 31.5)), "change": bench_pairs.parse_result(_stdout(1064.0, 31.625))}
     assert bench_pairs.pair_line(got) == "ops_per_s {'base': 923.0, 'change': 1064.0}, peak_rss_mb {'base': 31.5, 'change': 31.625}"
+
+
+WORKLOADS = ["paper-grids", "large-cells", "random-filtered"]
+
+
+def test_workload_option_is_repeatable_defaults_to_all_and_rejects_unknown_names(capsys):
+    common = ["--pairs", "1", "--seed", "5", "--out", "x.json"]
+    assert bench_pairs.parse_args(common, WORKLOADS).workloads == WORKLOADS
+    assert bench_pairs.parse_args(common + ["--workload", "random-filtered"], WORKLOADS).workloads == ["random-filtered"]
+    # repeated names run in BENCHMARK.json's order, once each
+    picked = common + ["--workload", "random-filtered", "--workload", "paper-grids", "--workload", "random-filtered"]
+    assert bench_pairs.parse_args(picked, WORKLOADS).workloads == ["paper-grids", "random-filtered"]
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(common + ["--workload", "forms"], WORKLOADS)
+    assert "invalid choice: 'forms'" in capsys.readouterr().err
+
+
+def test_only_the_chosen_workloads_run_and_the_output_names_them(tmp_path, monkeypatch):
+    ran = []
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+
+    def fake_run(tree, workload, seed, seconds):
+        ran.append((tree.name, workload, seed))
+        value = 400.0 if tree.name == "base" else 500.0
+        metrics = {m["name"]: {"value": value, "unit": m["unit"]} for m in spec["end_to_end"]}
+        return {"correct": True, "attempted": 100, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda rev, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--pairs", "2", "--seed", "11", "--out", str(out), "--workload", "random-filtered"]) == 0
+    # two pairs, base first and then change first
+    assert ran == [("base", "random-filtered", 11), ("change", "random-filtered", 11), ("change", "random-filtered", 11), ("base", "random-filtered", 11)]
+    report = json.loads(out.read_text())
+    assert report["workloads_run"] == ["random-filtered"] and list(report["workloads"]) == ["random-filtered"]
+    assert report["workloads"]["random-filtered"]["metrics"]["ops_per_s"]["change_wins"] == 2

@@ -3,14 +3,15 @@ inputs."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from multifilt import homspaces
 from multifilt.gl2 import rep_from_label
 from multifilt.homspaces import grid_labels, hom_basis, hom_dim, multiplicity
-from multifilt.linalg import Mat, Subspace, kernel, rank, rref, subspace_contains
+from multifilt.linalg import Mat, Subspace, _extend_echelon, _nonzeros, _unit_row, kernel, rank, rref, subspace_contains, vector
 from multifilt.varieties import BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES, builtin_variety
 from multifilt.verify import random_filt_object_pair
-from reference_paths import reference_rref, reference_subspace_contains
+from reference_paths import reference_extend_echelon, reference_rref, reference_subspace_contains
 
 
 def _entry(rng: random.Random, style: str) -> Fraction:
@@ -89,6 +90,52 @@ def test_subspace_contains_agrees_with_reference():
                 outside = [x + (1 if j == free else 0) for j, x in enumerate(member)]
                 assert not subspace_contains(s, outside)
                 assert not reference_subspace_contains(s, outside)
+
+
+def _extension_sequence(rng: random.Random, dim: int, style: str) -> list:
+    """dim + 2 random vectors of QQ^dim in stored form, with a zero vector
+    and then a combination of the vectors before it put in mid-sequence."""
+
+    def entry() -> Fraction:
+        kind = rng.choice(("int", "fraction")) if style == "mixed" else style
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9)) if kind == "int" else Fraction(rng.randint(-9, 9), rng.randint(2, 12))
+
+    vecs = [[entry() for _ in range(dim)] for _ in range(dim + 2)]
+    mid = len(vecs) // 2
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(mid)]
+    dependent = [sum((c * v[j] for c, v in zip(coeffs, vecs)), Fraction(0)) for j in range(dim)]
+    vecs[mid:mid] = [[0] * dim, dependent]
+    return [_nonzeros(vector(v)) for v in vecs]
+
+
+def test_extend_echelon_matches_the_fraction_reference_one_vector_at_a_time():
+    rng = random.Random(25)
+    for dim in range(9):
+        for style in ("int", "fraction", "mixed"):
+            for _ in range(12):
+                rows: dict = {}
+                units: dict = {}
+                ref: dict = {}
+                seq = _extension_sequence(rng, dim, style)
+                for v in seq:
+                    before = {p: dict(row) for p, row in rows.items()}
+                    changed = _extend_echelon(rows, v)
+                    assert bool(changed) == reference_extend_echelon(ref, v)
+                    if not changed:
+                        assert rows == before
+                        continue
+                    # the new row first, then exactly the rows that differ
+                    assert changed[0] not in before
+                    assert set(changed) == {changed[0]} | {p for p in before if rows[p] != before[p]}
+                    # dividing the changed rows alone gives the reference's rows
+                    units.update({p: _unit_row(rows[p], p) for p in changed})
+                    assert units == ref
+                    for p, row in rows.items():
+                        assert min(row) == p and not any(q in row for q in rows if q != p)
+                        assert all(type(x) is int for x in row.values()) and gcd(*row.values()) == 1
+                assert len(rows) == rank(Mat.from_sparse_rows(seq, dim))
 
 
 def _sparse_matrix(rng: random.Random, rows: int, cols: int) -> Mat:

@@ -105,6 +105,16 @@ def test_ambient_mismatch():
         subspace_intersect(Subspace.full(2), Subspace.full(3))
 
 
+def test_containment_checks_the_ambient_of_an_empty_input():
+    # no row to reduce is still a question about vectors of another length
+    with pytest.raises(AmbientMismatch):
+        Subspace.full(3).contains_subspace(Subspace.zero(5))
+    with pytest.raises(AmbientMismatch):
+        Subspace.full(3).contains_rows(Mat.zero(0, 5))
+    assert Subspace.full(3).contains_rows(Mat.zero(0, 3))
+    assert Subspace.zero(3).contains_subspace(Subspace.zero(3))
+
+
 def _random_subspace(rng, dim):
     nvecs = rng.randint(0, dim)
     return Subspace.span(dim, [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(nvecs)])

@@ -15,8 +15,11 @@ an interrupted run needs no clean-up beyond its temporary directory.
 
 Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
 --trace 0`` once per side and per workload of BENCHMARK.json, with T its
-``run_seconds``; which side goes first alternates from pair to pair.  The
-output file holds, per workload and side, the ops attempted and failed (in
+``run_seconds``; which side goes first alternates from pair to pair.
+``--workload NAME``, repeatable, runs only the named workloads, in
+BENCHMARK.json's order; a name it does not list is an error.  The output
+file names the workloads that ran under ``workloads_run`` and holds, per
+workload and side, the ops attempted and failed (in
 total, and attempted per run), and per end-to-end metric of BENCHMARK.json,
 each side's runs, median and quartiles, the pairs the working tree won and
 tied, the relative change of the medians, whether that change stays
@@ -213,22 +216,28 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return parse_result(proc.stdout)
 
 
-def parse_args(argv):
+def parse_args(argv, workloads: list[str]):
+    """The command line, with ``workloads`` the names BENCHMARK.json lists;
+    ``args.workloads`` is the names to run, in that order."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--base", default="HEAD", help="commit to compare the working tree against (default HEAD)")
+    parser.add_argument(
+        "--workload", action="append", choices=workloads, metavar="NAME", help="run only this workload (repeatable; default every one)"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
+    args.workloads = [w for w in workloads if args.workload is None or w in args.workload]
     return args
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in spec["workloads"]]
+    args = parse_args(argv, [w["name"] for w in spec["workloads"]])
+    workloads = args.workloads
     seconds = spec["run_seconds"]
     base_sha = _git("rev-parse", args.base).strip()
     results: dict[str, list[tuple[dict, dict]]] = {w: [] for w in workloads}
@@ -247,6 +256,7 @@ def main(argv=None) -> int:
         "change": {"head": _git("rev-parse", "HEAD").strip(), "dirty": bool(_git("status", "--porcelain").strip())},
         "command": f"python3 bench/run.py --workload W --seed {args.seed} --seconds {seconds} --trace 0",
         "pairs": args.pairs,
+        "workloads_run": workloads,
         "first_side": [SIDES[i % 2] for i in range(args.pairs)],
         "env": {"python": platform.python_version(), "machine": platform.machine(), "nproc": len(os.sched_getaffinity(0))},
         "workloads": {w: summarize(results[w], spec["end_to_end"]) for w in workloads},
