@@ -55,11 +55,12 @@ VARIETY_NAMES = (BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES)
 # Largest representation dimension that multiplicity and filtration accept,
 # checked before any operator is built.  169 is the largest benchmarked cell,
 # ((12,1),(12,1)).  Measured at this bound on one core of a 2-vCPU Intel Xeon
-# under Python 3.11: that cell's multiplicity takes 0.10 s, the slowest label
-# shape, forms (168,0) whose reflection is a triangle of 14365 binomial
-# coefficients, takes about 0.5 s, and its filtration output is 12 MB
-# (212 MB peak RSS, nearly all of it the JSON rendering of every step's
-# dense basis).  A flag stores one entry per basis vector of each step, so
+# under Python 3.11: that cell's multiplicity takes 0.10 s; forms (168,0),
+# whose reflection is a triangle of 14365 binomial coefficients, takes
+# about 0.06 s, since its torus is solved as a chain and the reflection is
+# applied to that one vector; its filtration output is 12 MB, written one
+# step at a time at 21 MB peak RSS (212 MB when the whole flag's JSON was
+# rendered at once).  A flag stores one entry per basis vector of each step, so
 # with the bound lifted the label 200,0;200,0 (dimension 40401, a 201-step
 # flag of 4.1 million rows) gets its multiplicity in 3.3 s at 179 MB peak
 # RSS; but its filtration output would print every step's dense basis,
@@ -259,8 +260,16 @@ def _cmd_filtration(args: argparse.Namespace) -> int:
         _check_label_shape(spec.group, label, f"label {args.label!r}")
         rep = rep_from_label(spec.group, label)
         filts = [cocharacter_filtration(rep, mu) for mu in spec.boundary_cocharacters]
-    payloads = [serialize.filtered_space_to_json(f) for f in filts]
-    print(serialize.dumps(payloads[0] if len(payloads) == 1 else payloads))
+    # the bytes of dumps(payloads[0] if len(payloads) == 1 else payloads),
+    # written one step at a time
+    write = sys.stdout.write
+    many = len(filts) != 1
+    write("[" if many else "")
+    for k, f in enumerate(filts):
+        write(", " if k else "")
+        for chunk in serialize.filtered_space_chunks(f):
+            write(chunk)
+    write("]\n" if many else "\n")
     return 0
 
 

@@ -31,7 +31,9 @@ at the coordinates it keeps; its torus pairs also carry their integer
 eigenvalues, which GroupActionData.diagonals hands over as they are.  The
 operators of an external product are held the same way, each built when
 first read: nothing on the multiplicity path reads them, since the
-stabilizers and flags are written from the label and the weights.
+stabilizers and flags are written from the label and the weights.  The
+irreducible operators themselves are written in stored form too, by
+_lie_op, in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from math import comb, prod
 
-from .linalg import _SMALL, Mat, _mat, check_dim, kron
+from .linalg import _SMALL, _ZERO, Mat, _mat, check_dim, kron
 
 Weight = tuple[int, ...]
 Gl2Label = tuple[int, int]
@@ -162,6 +164,32 @@ class GroupActionData:
             [k.sparse_rows.eigenvalues if type(k.sparse_rows) is _OnRequest else _diagonal(k) for k in self.intertwiner_constraints]
         )
 
+    @cached_property
+    def bidiagonals(self) -> tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None, ...]:
+        """Per constraint that diagonals leaves as general, its diagonal and
+        its superdiagonal, padded with a last 0, if row i has no nonzero
+        entry outside columns i and i + 1 (upper bidiagonal), else None;
+        None for every diagonal constraint and for rows written on request,
+        which are not read.  Classified once, on first read, as diagonals
+        is."""
+        return tuple(
+            [
+                _bands(k) if e is None and type(k.sparse_rows) is not _OnRequest else None
+                for k, e in zip(self.intertwiner_constraints, self.diagonals)
+            ]
+        )
+
+
+def _bands(m: Mat) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None:
+    diagonal, superdiagonal = [], []
+    for i, row in enumerate(m.sparse_rows):
+        entries = dict(row)
+        if not entries.keys() <= {i, i + 1}:
+            return None
+        diagonal.append(entries.get(i, _ZERO))
+        superdiagonal.append(entries.get(i + 1, _ZERO))
+    return tuple(diagonal), tuple(superdiagonal)
+
 
 def _diagonal(m: Mat) -> tuple[int | Fraction, ...] | None:
     out = []
@@ -176,17 +204,23 @@ def _diagonal(m: Mat) -> tuple[int | Fraction, ...] | None:
 def _lie_op(x: Mat, n: int, m: int) -> Mat:
     """Derived action of the 2x2 matrix x on monomials, plus m tr(x) from
     the determinant twist.  Row i has at most three nonzeros: (n - i + 1) c
-    in column i - 1, the diagonal entry, and (i + 1) b in column i + 1."""
+    in column i - 1, the diagonal entry, and (i + 1) b in column i + 1.
+
+    The rows are written in stored form (see linalg._mat): the off-diagonal
+    values are nonzero whenever b or c is, a zero diagonal entry is left
+    out, and every value is a Fraction, since x's entries are."""
     a, b, c, d = x.at(0, 0), x.at(0, 1), x.at(1, 0), x.at(1, 1)
     tw = m * (a + d)
     rows = []
     for i in range(n + 1):
-        row = [(i - 1, (n - i + 1) * c)] if i > 0 and c else []
-        row.append((i, (n - i) * a + i * d + tw))
+        row = ((i - 1, (n - i + 1) * c),) if i and c else ()
+        h = (n - i) * a + i * d + tw
+        if h:
+            row += ((i, h),)
         if i < n and b:
-            row.append((i + 1, (i + 1) * b))
+            row += ((i + 1, (i + 1) * b),)
         rows.append(row)
-    return Mat.from_sparse_rows(rows, n + 1)
+    return _mat(n + 1, n + 1, tuple(rows))
 
 
 _E12 = Mat.from_rows([[0, 1], [0, 0]])

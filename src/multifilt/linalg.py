@@ -240,9 +240,11 @@ def _mat(rows: int, cols: int, sparse_rows: tuple[SparseRow, ...]) -> Mat:
     every value a ``Fraction``.  The constructors coerce through ``frac``, so
     a small integer there is the shared one; computed rows (rref,
     ``Mat.__matmul__``) hold fresh ``Fraction``s apart from the ``_ONE``s of
-    a row divided by its pivot, and no reader relies on identity (see kron).  Rows
-    written in this form by construction skip that
-    constructor's per-entry checks.  In place of the tuple, a sequence that
+    a row divided by its pivot, and no reader relies on identity (see kron).
+    Rows written in this form by construction skip that constructor's
+    per-entry checks: the built-in stabilizer constraints, the irreducible
+    operators (gl2._lie_op), the cocharacter flags and the Hom systems are
+    written so.  In place of the tuple, a sequence that
     writes such rows on request and otherwise behaves as their tuple does
     is taken too (gl2._OnRequest, which holds the matrix-variety
     constraints)."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .filtration import FilteredSpace, GradedVectorSpace, make_filtered
 from .gl2 import GROUP_FACTORS, GroupActionData, RepData, group_label_factors, label_dim, rep_from_label
@@ -97,10 +97,22 @@ def _matrices(value: Any, path: str) -> tuple[Mat, ...]:
 
 
 def filtered_space_to_json(fs: FilteredSpace) -> dict:
-    return {
-        "dim": fs.dim,
-        "steps": [{"index": idx, "basis": [vector_to_json(v) for v in sub.basis]} for idx, sub in fs.steps],
-    }
+    return {"dim": fs.dim, "steps": [_step_to_json(idx, sub) for idx, sub in fs.steps]}
+
+
+def _step_to_json(idx: int, sub: Subspace) -> dict:
+    return {"index": idx, "basis": [vector_to_json(v) for v in sub.basis]}
+
+
+def filtered_space_chunks(fs: FilteredSpace) -> Iterator[str]:
+    """The text of dumps(filtered_space_to_json(fs)) in pieces, one step
+    after the opening one: joined, they are that text, and only one step
+    is encoded at a time, so a caller writing each piece as it comes holds
+    one step's JSON rather than the whole flag's."""
+    yield f'{{"dim": {fs.dim}, "steps": ['
+    for k, (idx, sub) in enumerate(fs.steps):
+        yield (", " if k else "") + dumps(_step_to_json(idx, sub))
+    yield "]}"
 
 
 def filtered_space_from_json(value: Any, path: str = "$") -> FilteredSpace:

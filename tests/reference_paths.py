@@ -22,8 +22,17 @@ every prefix of generators afresh and normalizes through make_filtered,
 the reduced echelon form extended one vector at a time in Fractions,
 the annihilator of a subspace as the kernel of its basis, found by
 elimination, and the filtration-morphism check at every jump of either
-side.  They live only here, so that tests can compare the library
-against them on many inputs.
+side, the irreducible operators with their rows checked and coerced by
+Mat.from_sparse_rows, and the left kernel of a paper cell with every
+general constraint written over the kept coordinates and ranked at once,
+no constraint solved as a chain.  They live only here, so that tests can
+compare the library against them on many inputs.
+
+The cached builders at the end build a paper cell's representation,
+object or reference answer once per test session, for the tests that
+compare answers only: a test that monkeypatches what builds them, counts
+builds or compares identity builds its own.  The style is always passed,
+so that one cell has one cached object per style.
 """
 
 from __future__ import annotations
@@ -36,11 +45,21 @@ from typing import Iterable, Mapping, Sequence
 
 from multifilt.characters import WeightMultiset
 from multifilt.filtration import FilteredSpace, make_filtered
-from multifilt.gl2 import GROUP_FACTORS, H_STYLE_LIE_PLUS_ELEMENTS, Gl2Label, RepData, Weight, external_rep, irrep_gl2, label_factors
-from multifilt.homspaces import FiltObject, filt_object, hom_dim
+from multifilt.gl2 import (
+    GROUP_FACTORS,
+    H_STYLE_LIE_PLUS_ELEMENTS,
+    Gl2Label,
+    RepData,
+    Weight,
+    external_rep,
+    irrep_gl2,
+    label_factors,
+    rep_from_label,
+)
+from multifilt.homspaces import FiltObject, _constraint_rows, _left_kernel_entries, filt_object, hom_dim
 from multifilt.linalg import _ONE, _SMALL, AmbientMismatch, Mat, SparseRow, Subspace, _mat, _row_sum, kernel, kron, rank, vector
 from multifilt.rees import GradedFreeModule, RankDeficient
-from multifilt.varieties import Cocharacter, VarietySpec, pairing
+from multifilt.varieties import BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES, Cocharacter, VarietySpec, builtin_variety, pairing
 
 
 def reference_annihilator(s: Subspace) -> Mat:
@@ -150,16 +169,14 @@ def reference_per_jump_hom_system(a: FiltObject, b: FiltObject) -> tuple[Mat, li
     return Mat.from_sparse_rows(rows, len(free)), [r * da + c for r, c in free]
 
 
-def reference_hom_dim(a: FiltObject, b: FiltObject) -> int:
+def reference_hom(a: FiltObject, b: FiltObject) -> tuple[int, list[Mat]]:
+    """The Hom dimension, as vec(f)'s count less the full system's rank,
+    and the Hom basis, as the full system's kernel, each computed from the
+    one system on its own."""
     if a.rep.dim == 0 or b.rep.dim == 0:
-        return 0
-    return a.rep.dim * b.rep.dim - rank(full_hom_system(a, b))
-
-
-def reference_hom_basis(a: FiltObject, b: FiltObject) -> list[Mat]:
-    if a.rep.dim == 0 or b.rep.dim == 0:
-        return []
-    return [Mat(b.rep.dim, a.rep.dim, tuple(v)) for v in kernel(full_hom_system(a, b)).basis]
+        return 0, []
+    system = full_hom_system(a, b)
+    return a.rep.dim * b.rep.dim - rank(system), [Mat(b.rep.dim, a.rep.dim, tuple(v)) for v in kernel(system).basis]
 
 
 def reference_cocharacter_filtration(rep: RepData, mu: Cocharacter) -> FilteredSpace:
@@ -187,7 +204,7 @@ def reference_rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         for i in range(m.rows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == m.rows:
@@ -358,7 +375,7 @@ def reference_binary_forms_stabilizer(n: int, m: int) -> tuple[Mat, Mat]:
     irrep_gl2(n, m), and the reflection g = [[1, 0], [1, -1]] in column
     convention, the transpose of the symmetric power of g^T, times
     det(g)^m = (-1)^m."""
-    e, _, h1, h2 = irrep_gl2(n, m).action_ops
+    e, _, h1, h2 = cached_rep("GL2", (n, m)).action_ops
     return h1 - h2 - e.scale(2), _reference_forms_reflection(n).scale(Fraction(-1) ** m)
 
 
@@ -448,3 +465,59 @@ def reference_extend_echelon(rows: dict[int, SparseRow], v: SparseRow) -> bool:
             rows[p] = _row_sum(row, tuple([(j, -c * x) for j, x in new]))
     rows[q] = new
     return True
+
+
+def reference_lie_op(x: Mat, n: int, m: int) -> Mat:
+    """Derived action of the 2x2 matrix x on monomials, plus m tr(x), with
+    its rows passed through Mat.from_sparse_rows, which checks each entry
+    and drops a zero diagonal one."""
+    a, b, c, d = x.at(0, 0), x.at(0, 1), x.at(1, 0), x.at(1, 1)
+    tw = m * (a + d)
+    rows = []
+    for i in range(n + 1):
+        row = [(i - 1, (n - i + 1) * c)] if i > 0 and c else []
+        row.append((i, (n - i) * a + i * d + tw))
+        if i < n and b:
+            row.append((i + 1, (i + 1) * b))
+        rows.append(row)
+    return Mat.from_sparse_rows(rows, n + 1)
+
+
+def reference_left_kernel_dim(a: FiltObject, triv: FiltObject) -> int:
+    """hom(a, triv) as a left kernel over the coordinates the flags and the
+    diagonal constraints keep, with every general constraint written by the
+    general system's equation writer and one rank over all of them."""
+    free, general = _left_kernel_entries(a, triv)
+    rows = _constraint_rows(free, general)
+    return len(free) - rank(_mat(len(rows), len(free), tuple(rows)))
+
+
+# The built-in example of each labeled group.
+PAPER_SPECS = {"GL2": BINARY_QUADRATIC_FORMS, "GL2xGL2": TWO_BY_TWO_MATRICES}
+
+
+@lru_cache(maxsize=None)
+def cached_rep(group: str, label: object) -> RepData:
+    """rep_from_label(group, label), built once per session."""
+    return rep_from_label(group, label)
+
+
+@lru_cache(maxsize=None)
+def cached_object(group: str, label: object, style: str) -> FiltObject:
+    """The cell's object over the group's built-in example, built once per
+    session from cached_rep."""
+    return filt_object(cached_rep(group, label), builtin_variety(PAPER_SPECS[group]), style)
+
+
+@lru_cache(maxsize=None)
+def cached_trivial_object(group: str, style: str) -> FiltObject:
+    """The trivial object of the group's built-in example, built once per
+    session, apart from the one the example keeps."""
+    spec = builtin_variety(PAPER_SPECS[group])
+    return filt_object(spec.trivial_rep(), spec, style)
+
+
+@lru_cache(maxsize=None)
+def cached_reference_multiplicity(group: str, label: object, style: str) -> int:
+    """reference_multiplicity of the cell, computed once per session."""
+    return reference_multiplicity(cached_rep(group, label), builtin_variety(PAPER_SPECS[group]), style)

@@ -1,6 +1,7 @@
 import json
 
 from multifilt.cli import main
+from multifilt.gl2 import external_rep, irrep_gl2
 
 FS = {"dim": 2, "steps": [{"index": 0, "basis": [["1", "0"], ["0", "1"]]}, {"index": 2, "basis": [["1", "1/2"]]}]}
 
@@ -50,6 +51,24 @@ def test_filtration_command(capsys):
     payload = json.loads(out)
     assert payload["dim"] == 3
     assert [s["index"] for s in payload["steps"]] == [-2, -1, 0]
+
+
+def test_filtration_prints_dumps_of_its_payloads(tmp_path, capsys):
+    # one flag prints its payload, and any other number of flags (none
+    # included) the list of them, as dumps renders it
+    from multifilt import serialize
+    from multifilt.varieties import cocharacter_filtration
+
+    rep = irrep_gl2(3, 1)
+    for cocharacters in ([], [[1, 0]], [[1, 0], [0, 1]], [[1, 0], [0, 1], [1, -1]]):
+        path = tmp_path / "flags.json"
+        path.write_text(json.dumps({"group_rank": 2, "group": "GL2", "cocharacters": cocharacters}))
+        code, out, _ = _run(capsys, ["filtration", "--variety-file", str(path), "--label", "3,1"])
+        payloads = [serialize.filtered_space_to_json(cocharacter_filtration(rep, tuple(mu))) for mu in cocharacters]
+        assert code == 0 and out == serialize.dumps(payloads[0] if len(payloads) == 1 else payloads) + "\n"
+    code, out, _ = _run(capsys, ["filtration", "--variety", "TwoByTwoMatrices", "--label", "2,1;1,0"])
+    mu = (1, 1, 0, -1)
+    assert out == serialize.dumps(serialize.filtered_space_to_json(cocharacter_filtration(external_rep((2, 1), (1, 0)), mu))) + "\n"
 
 
 def test_multiplicity_single_label(capsys):
@@ -257,6 +276,17 @@ def _run_with_memory_cap(args, cap_mb=512):
     code = "import sys; from multifilt.cli import main; raise SystemExit(main(sys.argv[1:]))"
     env = {"PYTHONPATH": str(Path(multifilt.__file__).resolve().parents[1])}
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60, preexec_fn=cap, env=env)
+
+
+def test_largest_filtration_is_written_a_step_at_a_time():
+    # forms (168, 0) prints 12 MB; rendered whole, its JSON needed about
+    # 210 MB, and it fails under this cap; written a step at a time it
+    # runs at about 21 MB peak RSS
+    run = _run_with_memory_cap(["filtration", "--variety", "BinaryQuadraticForms", "--label", "168,0"], cap_mb=96)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith('{"dim": 169, "steps": [{"index": -168, "basis": [["1", "0", ')
+    assert run.stdout.endswith(', "1"]]}]}\n') and run.stdout.count('{"index": ') == 169
+    assert len(run.stdout) == 12171800
 
 
 def test_oversized_grid_rejected_before_labels_are_made(capsys):

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from multifilt import serialize
-from multifilt.gl2 import external_rep, irrep_gl2
+from multifilt.gl2 import RepData, external_rep, irrep_gl2, rep_from_label
 from multifilt.linalg import Mat
 from multifilt.rees import GradedFreeModule
+from multifilt.varieties import BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES, builtin_variety, cocharacter_filtration
 from multifilt.verify import random_filtered_space
 
 
@@ -27,6 +28,27 @@ def test_filtered_space_round_trip():
         fs = random_filtered_space(rng, max_dim=4)
         again = serialize.filtered_space_from_json(serialize.filtered_space_to_json(fs))
         assert again == fs
+
+
+def test_filtered_space_chunks_join_to_dumps():
+    # the flags of both built-in varieties, dense random flags, and the
+    # flag of a zero-dimensional representation, which has no step
+    flags = []
+    for name, labels in (
+        (BINARY_QUADRATIC_FORMS, [(0, 0), (2, 0), (5, -1), (12, 3)]),
+        (TWO_BY_TWO_MATRICES, [((0, 0), (0, 0)), ((1, 0), (1, 0)), ((3, 1), (2, -1))]),
+    ):
+        spec = builtin_variety(name)
+        for label in labels:
+            flags += [cocharacter_filtration(rep_from_label(spec.group, label), mu) for mu in spec.boundary_cocharacters]
+    rng = random.Random(2626)
+    flags += [random_filtered_space(rng, max_dim=4) for _ in range(30)]
+    flags.append(cocharacter_filtration(RepData(0, (), ()), (1,)))
+    assert not flags[-1].steps
+    for fs in flags:
+        chunks = list(serialize.filtered_space_chunks(fs))
+        assert "".join(chunks) == serialize.dumps(serialize.filtered_space_to_json(fs))
+        assert len(chunks) == len(fs.steps) + 2
 
 
 def test_filtered_space_errors_carry_paths():

@@ -1,8 +1,9 @@
 """The Kronecker-product operators of an external product, each built on
 first read, against the eager construction; the on-request sequence that
-holds them and the matrix-variety constraint rows against its tuple; and
-the stored form of the stabilizer constraints and cocharacter flags that
-the Hom solver reads."""
+holds them and the matrix-variety constraint rows against its tuple; the
+irreducible operators, written in stored form, against the ones checked
+by Mat.from_sparse_rows; and the stored form of the stabilizer
+constraints and cocharacter flags that the Hom solver reads."""
 
 import random
 from collections import Counter
@@ -16,7 +17,7 @@ from multifilt.homspaces import filt_object, grid_labels, multiplicity
 from multifilt.linalg import Mat, Subspace, kron, vstack
 from multifilt.varieties import BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES, builtin_variety, cocharacter_filtration
 from multifilt.verify import random_filt_object_pair
-from reference_paths import reference_eager_matrix_stabilizer, reference_external_rep
+from reference_paths import reference_eager_matrix_stabilizer, reference_external_rep, reference_lie_op
 
 
 def _product_labels():
@@ -123,6 +124,21 @@ def _assert_sorted_fractions(m: Mat) -> None:
     every value is a Fraction."""
     assert Mat.from_sparse_rows(m.sparse_rows, m.cols) == m
     assert all(type(x) is Fraction for row in m.sparse_rows for _, x in row)
+
+
+def test_irreducible_operators_match_the_checked_reference():
+    # every factor of both paper grids' labels, of the large cells, and
+    # values past the shared table
+    labels = [*grid_labels("GL2", range(0, 9), range(-6, 7)), *_product_labels(), (40, -3), ((0, 300), (0, -300)), ((2, -300), (3, 301))]
+    factors = {f for label in labels for f in gl2.label_factors(label)}
+    assert {(4, 3), (12, 1), (40, -3), (0, -300), (3, 301)} <= factors
+    for n, m in sorted(factors):
+        ops = irrep_gl2(n, m).action_ops
+        assert ops == tuple(reference_lie_op(x, n, m) for x in (gl2._E12, gl2._E21, gl2._E11, gl2._E22)), (n, m)
+        for op in ops:
+            _assert_sorted_fractions(op)
+    # a zero diagonal entry is left out: h1 of (1, -1) is n - i + m, 0 at i = 0
+    assert irrep_gl2(1, -1).action_ops[2].sparse_rows == ((), ((1, Fraction(-1)),))
 
 
 def _assert_stored_form(m: Mat) -> None:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from reference_paths import reference_multiplicity
+from reference_paths import cached_reference_multiplicity, cached_rep, reference_multiplicity
 
 from multifilt.filtration import associated_graded
 from multifilt.gl2 import H_STYLES, RepData, irrep_gl2, rep_from_label
@@ -182,8 +182,8 @@ def test_kept_target_matches_a_fresh_one_on_paper_large_and_random_cells():
     cells += [(matrices, tuple((rng.randint(0, 6), rng.randint(-3, 3)) for _ in "ab")) for _ in range(20)]
     for style in H_STYLES:
         for spec, label in cells:
-            rep = rep_from_label(spec.group, label)
-            assert multiplicity(rep, spec, style) == reference_multiplicity(rep, spec, style), (spec.name, label, style)
+            expected = cached_reference_multiplicity(spec.group, label, style)
+            assert multiplicity(cached_rep(spec.group, label), spec, style) == expected, (spec.name, label, style)
 
 
 def test_equal_custom_specs_keep_their_own_trivial_objects():

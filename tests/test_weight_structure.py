@@ -33,15 +33,17 @@ from multifilt.varieties import (
 )
 from multifilt.verify import random_filt_object_pair, random_filtered_space
 from reference_paths import (
+    cached_object,
+    cached_reference_multiplicity,
+    cached_rep,
+    cached_trivial_object,
     reference_annihilator,
     reference_binary_forms_stabilizer,
     reference_cocharacter_filtration,
-    reference_grid_labels,
-    reference_hom_basis,
-    reference_hom_dim,
     reference_eager_matrix_stabilizer,
+    reference_grid_labels,
+    reference_hom,
     reference_matrix_variety_stabilizer,
-    reference_multiplicity,
     reference_per_jump_hom_system,
 )
 from test_stored_form import _assert_echelon_steps, _assert_stored_form
@@ -57,8 +59,7 @@ def _object(constraints, filtrations=()):
 
 
 def _assert_matches_reference(a, b):
-    assert hom_dim(a, b) == reference_hom_dim(a, b)
-    assert hom_basis(a, b) == reference_hom_basis(a, b)
+    assert (hom_dim(a, b), hom_basis(a, b)) == reference_hom(a, b)
 
 
 @pytest.mark.parametrize("seed", [3, 11, 19, 37, 71])
@@ -188,9 +189,9 @@ def test_constraints_are_classified_once_per_group_action_data(monkeypatch):
         for group, spec in specs.items():
             multiplicity(rep_from_label(group, (0, 0) if group == "GL2" else ((0, 0), (0, 0))), spec, style)
             kept.append(spec._trivial[style])
-            pairs += [(filt_object(rep_from_label(group, label), spec, style), kept[-1]) for g, label in cells[::9] if g == group]
-    expected_homs = [(reference_hom_dim(a, b), reference_hom_basis(a, b)) for a, b in pairs]
-    expected_cells = [reference_multiplicity(rep_from_label(group, label), specs[group], style) for style in H_STYLES for group, label in cells]
+            pairs += [(filt_object(cached_rep(group, label), spec, style), kept[-1]) for g, label in cells[::9] if g == group]
+    expected_homs = [reference_hom(a, b) for a, b in pairs]
+    expected_cells = [cached_reference_multiplicity(group, label, style) for style in H_STYLES for group, label in cells]
     for a, b in pairs:
         a.h_action.diagonals, b.h_action.diagonals
 
@@ -416,8 +417,6 @@ def _assert_conditions_once_match_per_jump(a, b, monkeypatch):
 
 
 def test_conditions_once_match_per_jump_on_paper_and_large_cells(monkeypatch):
-    specs = {"GL2": builtin_variety(BINARY_QUADRATIC_FORMS), "GL2xGL2": builtin_variety(TWO_BY_TWO_MATRICES)}
-    trivial = {group: filt_object(spec.trivial_rep(), spec) for group, spec in specs.items()}
     labels = [
         *(("GL2", label) for label in grid_labels("GL2", range(0, 9), range(-6, 7))),
         *(("GL2xGL2", label) for label in grid_labels("GL2xGL2", range(0, 5), range(-2, 4))),
@@ -425,8 +424,8 @@ def test_conditions_once_match_per_jump_on_paper_and_large_cells(monkeypatch):
     ]
     rows = per_jump_rows = 0
     for group, label in labels:
-        a = filt_object(rep_from_label(group, label), specs[group])
-        once, per_jump = _assert_conditions_once_match_per_jump(a, trivial[group], monkeypatch)
+        a, b = cached_object(group, label, H_STYLES[1]), cached_trivial_object(group, H_STYLES[1])
+        once, per_jump = _assert_conditions_once_match_per_jump(a, b, monkeypatch)
         rows, per_jump_rows = rows + once, per_jump_rows + per_jump
     # the paper's flags have several steps, so the emission falls in total
     assert rows < per_jump_rows
