@@ -55,16 +55,18 @@ VARIETY_NAMES = (BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES)
 # Largest representation dimension that multiplicity and filtration accept,
 # checked before any operator is built.  169 is the largest benchmarked cell,
 # ((12,1),(12,1)).  Measured at this bound on one core of a 2-vCPU Intel Xeon
-# under Python 3.11: that cell's multiplicity takes 0.10 s; forms (168,0),
-# whose reflection is a triangle of 14365 binomial coefficients, takes
-# about 0.06 s, since its torus is solved as a chain and the reflection is
-# applied to that one vector; its filtration output is 12 MB, written one
-# step at a time at 21 MB peak RSS (212 MB when the whole flag's JSON was
-# rendered at once).  A flag stores one entry per basis vector of each step, so
-# with the bound lifted the label 200,0;200,0 (dimension 40401, a 201-step
-# flag of 4.1 million rows) gets its multiplicity in 3.3 s at 179 MB peak
-# RSS; but its filtration output would print every step's dense basis,
-# about 10^14 entries.
+# under Python 3.11, in process (the command adds about 0.08 s of start-up):
+# that cell's multiplicity takes about 1 ms; forms (168,0), whose
+# reflection is a triangle of 14365 binomial coefficients, takes about
+# 0.055 s, since the reflection is written and applied only at the 85
+# coordinates where its torus kernel is nonzero, and (167,0), whose torus
+# kernel is empty, about 6 ms; the filtration output of (168,0) is 12 MB,
+# written one step at a time at 20 MB peak RSS (212 MB when the whole
+# flag's JSON was rendered at once).  A flag stores one entry per basis
+# vector of each step, so with the bound lifted the label 200,0;200,0
+# (dimension 40401, a 201-step flag of 4.1 million rows) gets its
+# multiplicity in 0.5 s at 60 MB peak RSS; but its filtration output would
+# print every step's dense basis, about 10^14 entries.
 MAX_REP_DIM = 169
 
 # Largest coordinate-ring degree that oracle decomposes, checked before any

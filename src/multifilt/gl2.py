@@ -24,10 +24,11 @@ The determinant twist shifts h1 and h2 by m but leaves e and f alone.
 
 The stabilizer constraints of both built-in examples are written directly
 from their labels, in closed form, as column-convention sparse rows in
-stored form.  The binary-forms constraints are written whole.  The
-matrix-variety constraints hold their rows in an _OnRequest, which writes
-each row when it is first read and keeps it, so a Hom solve writes the rows
-at the coordinates it keeps; its torus pairs also carry their integer
+stored form.  The binary-forms torus is written whole, as it is read whole.
+The binary-forms reflection and the matrix-variety constraints hold their
+rows in an _OnRequest, which writes each row when it is first read and
+keeps it, so a Hom solve writes the rows at the coordinates it keeps; the
+matrix torus pairs, and the reflection at n = 0, also carry their integer
 eigenvalues, which GroupActionData.diagonals hands over as they are.  The
 operators of an external product are held the same way, each built when
 first read: nothing on the multiplicity path reads them, since the
@@ -44,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from math import comb, prod
 
-from .linalg import _SMALL, _ZERO, Mat, _mat, check_dim, kron
+from .linalg import _SMALL, Mat, SparseRow, _mat, check_dim, kron
 
 Weight = tuple[int, ...]
 Gl2Label = tuple[int, int]
@@ -95,7 +96,7 @@ class _OnRequest(Sequence):
     ``+`` on either side, ``==``, ``hash`` and ``repr`` build every item and
     behave as the tuple of them does, so a Mat holding the rows of a
     constraint this way equals, hashes, prints and stacks as the Mat of
-    those rows.  A diagonal constraint's rows are written from its
+    those rows.  The rows of a diagonal constraint carry its
     ``eigenvalues``, which GroupActionData.diagonals reads without reading a
     row; they are None for the rows of any other constraint and for
     operators."""
@@ -165,30 +166,21 @@ class GroupActionData:
         )
 
     @cached_property
-    def bidiagonals(self) -> tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None, ...]:
-        """Per constraint that diagonals leaves as general, its diagonal and
-        its superdiagonal, padded with a last 0, if row i has no nonzero
-        entry outside columns i and i + 1 (upper bidiagonal), else None;
-        None for every diagonal constraint and for rows written on request,
-        which are not read.  Classified once, on first read, as diagonals
-        is."""
+    def bidiagonals(self) -> tuple[bool, ...]:
+        """Per constraint, whether diagonals leaves it general and row i has
+        no nonzero entry outside columns i and i + 1 (upper bidiagonal).
+        Rows written on request are not read, and are never taken as
+        bidiagonal.  Classified once, on first read, as diagonals is."""
         return tuple(
             [
-                _bands(k) if e is None and type(k.sparse_rows) is not _OnRequest else None
+                e is None and type(k.sparse_rows) is not _OnRequest and _upper_bidiagonal(k)
                 for k, e in zip(self.intertwiner_constraints, self.diagonals)
             ]
         )
 
 
-def _bands(m: Mat) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None:
-    diagonal, superdiagonal = [], []
-    for i, row in enumerate(m.sparse_rows):
-        entries = dict(row)
-        if not entries.keys() <= {i, i + 1}:
-            return None
-        diagonal.append(entries.get(i, _ZERO))
-        superdiagonal.append(entries.get(i + 1, _ZERO))
-    return tuple(diagonal), tuple(superdiagonal)
+def _upper_bidiagonal(m: Mat) -> bool:
+    return all(0 <= j - i <= 1 for i, row in enumerate(m.sparse_rows) for j, _ in row)
 
 
 def _diagonal(m: Mat) -> tuple[int | Fraction, ...] | None:
@@ -290,9 +282,10 @@ def stabilizer_action_binary_forms(n: int, m: int, style: str = H_STYLE_LIE_PLUS
         raise ValueError(_NEGATIVE_DEGREE)
     # Both constraints are written in stored form: increasing columns, no
     # zero values, each value one lookup in linalg's shared table (a fresh
-    # Fraction past it).  X acts as _lie_op does with a, b, c, d = 1, -2, 0,
-    # -1: row i holds (n - i) a + i d = n - 2i on the diagonal, dropped
-    # where it is zero, and (i + 1) b = -2(i + 1) in column i + 1.
+    # Fraction past it).  The torus is written whole: X acts as _lie_op
+    # does with a, b, c, d = 1, -2, 0, -1, so row i holds
+    # (n - i) a + i d = n - 2i on the diagonal, dropped where it is zero,
+    # and (i + 1) b = -2(i + 1) in column i + 1.
     torus = _mat(
         n + 1,
         n + 1,
@@ -300,16 +293,19 @@ def stabilizer_action_binary_forms(n: int, m: int, style: str = H_STYLE_LIE_PLUS
     )
     if style == H_STYLE_LIE_ONLY:
         return GroupActionData(n + 1, (torus,))
+    # g's rows are written on request from the label (_reflection_row); at
+    # n = 0 it is the scalar det(g)^m, which it carries as its eigenvalue
+    eigenvalues = ((-1) ** (m % 2),) if n == 0 else None
+    reflection = _mat(n + 1, n + 1, _OnRequest(n + 1, partial(_reflection_row, n, m), eigenvalues))
+    return GroupActionData(n + 1, (torus, reflection))
+
+
+def _reflection_row(n: int, m: int, r: int) -> SparseRow:
     # g sends basis vector x^(n-c) y^c, in column c, to the expansion of
     # (x + y)^(n-c) (-y)^c, whose coefficient on x^(n-r) y^r is
     # (-1)^c binom(n - c, r - c) for r >= c; with det(g)^m this is the
-    # lower-triangular entry (r, c), all of whose binomials are nonzero.
-    reflection = _mat(
-        n + 1,
-        n + 1,
-        tuple([tuple([(c, _SMALL[(-1) ** ((m + c) % 2) * comb(n - c, r - c)]) for c in range(r + 1)]) for r in range(n + 1)]),
-    )
-    return GroupActionData(n + 1, (torus, reflection))
+    # lower-triangular entry (r, c), all of whose binomials are nonzero
+    return tuple([(c, _SMALL[(-1) ** ((m + c) % 2) * comb(n - c, r - c)]) for c in range(r + 1)])
 
 
 def label_factors(label: object) -> tuple[Gl2Label, ...]:

@@ -51,22 +51,24 @@ each general constraint, over the coordinates left, reading only their
 rows of K; one rank finishes the cell.
 
 A general constraint whose rows are upper bidiagonal, row i nonzero only
-at columns i and i + 1, is solved first, as a chain: the binary-forms
-torus X = [[1, -2], [0, -1]] acts so on monomials.  Column j of
-f (K - lambda) = 0 reads f_j (K[j, j] - lambda) = -f_{j-1} K[j-1, j], so a
-recurrence from left to right over the kept coordinates gives that
-constraint's left kernel with no elimination.  A zero coefficient on f_j
-makes f_j a new free parameter and, where K[j-1, j] is nonzero, kills the
-chain reaching it; a dropped coordinate kills or ends the chain the same
-way.  X's diagonal, n - 2i, vanishes at most once, so its kernel has
-dimension at most 1.  The other general constraints (the reflection) are
-then written over that basis only, reading K's rows at its coordinates
-alone (a product with the basis matrix), and the one rank call runs on
-that small system: its columns are the basis coefficients, and it is
-0 x 0 when the chain leaves nothing.  Which constraints are upper
-bidiagonal is read once per GroupActionData, as the diagonal ones are,
-and never off rows written on request, so the matrix cells keep the
-path above.
+at columns i and i + 1, is solved first when another general constraint
+is left to write: the binary-forms torus X = [[1, -2], [0, -1]] acts so on
+monomials, and its reflection is dense below the diagonal.  The torus
+equations are written over the coordinates left, as above, and reduced by
+one rref; the null-space rows of the reduced rows, the writer that kernel
+and annihilator_matrix share, made primitive integer rows and put back at
+their coordinates, are a basis of its left kernel.  X's diagonal, n - 2i,
+vanishes at most once, so that kernel has dimension at most 1.  The other
+general constraints (the reflection) are then written over that basis
+only, reading K's rows where the basis is nonzero alone (a product with
+the basis matrix), and the one rank call runs on that small system: its
+columns are the basis coefficients, and it is 0 x 0 when the kernel is
+empty.  The reflection's rows are written on request, so a forms cell
+writes those rows alone, and none for odd n.  Which constraints are upper
+bidiagonal is read once per GroupActionData, as the diagonal ones are, and
+never off rows written on request, so the matrix cells keep the path
+above, as does a forms cell in lie_only, whose torus is its one general
+constraint.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from typing import Container, Iterable, Sequence
 
 from .filtration import FilteredSpace
 from .gl2 import GROUP_FACTORS, GroupActionData, H_STYLE_LIE_PLUS_ELEMENTS, RepData, label_from_factors, rep_from_label
-from .linalg import _ONE, _ZERO, Mat, SparseRow, _mat, kernel, rank
+from .linalg import _SMALL, Mat, SparseRow, _mat, _null_rows, _primitive, kernel, rank, rref
 from .varieties import VarietySpec, cocharacter_filtration
 
 
@@ -274,56 +276,29 @@ def _left_kernel_entries(a: FiltObject, triv: FiltObject) -> tuple[list[tuple[in
 
 def _left_kernel_dim(a: FiltObject, triv: FiltObject) -> int:
     """hom_dim(a, triv) under the assumptions of _left_kernel_entries, by
-    one rank call.  The first general constraint whose rows are upper
-    bidiagonal, if any, is solved by its chain, and the others are written
-    over the basis it leaves; otherwise every general constraint is
-    written over the entries left.  See the module docstring."""
+    one rank call.  When a general constraint's rows are upper bidiagonal
+    and another general constraint is left, the left kernel of the first
+    such is read off its reduced equations, and the others are written over
+    the basis it leaves; otherwise every general constraint is written over
+    the entries left.  See the module docstring."""
     free, general = _left_kernel_entries(a, triv)
-    k = next((k for k, bands in enumerate(a.h_action.bidiagonals) if bands), None)
-    if k is None:
+    k = next((k for k, bidiagonal in enumerate(a.h_action.bidiagonals) if bidiagonal), None)
+    if k is None or len(general) == 1:
         rows = _constraint_rows(free, general)
         return len(free) - rank(_mat(len(rows), len(free), tuple(rows)))
     # constraint k is not diagonal, so it is among the general pairs
-    chain = a.h_action.intertwiner_constraints[k]
-    _, target = general.pop(next(i for i, (ka, _) in enumerate(general) if ka is chain))
-    chains = _chain_basis({c for _, c in free}, *a.h_action.bidiagonals[k], target.at(0, 0))
-    basis = _mat(len(chains), a.rep.dim, tuple(chains))
+    first = a.h_action.intertwiner_constraints[k]
+    rows = _constraint_rows(free, [general.pop(next(i for i, (ka, _) in enumerate(general) if ka is first))])
+    red, pivots = rref(_mat(len(rows), len(free), tuple(rows)))
+    # its null-space rows, made primitive integer rows and put back at
+    # their coordinates: free grows with the column, so each stays sorted
+    null = _null_rows(red.sparse_rows[: len(pivots)], len(free)).sparse_rows
+    vectors = [tuple([(free[j][1], _SMALL[x]) for j, x in _primitive(row).items()]) for row in null]
+    basis = _mat(len(vectors), a.rep.dim, tuple(vectors))
     # the others, f K = lam f with f = t basis, read t (basis (K - lam)) = 0:
     # one row per column of K, over the coefficients t
     rows = [row for ka, kb in general for row in (basis @ ka - basis.scale(kb.at(0, 0))).transpose().sparse_rows if row]
     return basis.rows - rank(_mat(len(rows), basis.rows, tuple(rows)))
-
-
-def _chain_basis(
-    kept: Container[int], diagonal: Sequence[Fraction], superdiagonal: Sequence[Fraction], lam: Fraction
-) -> list[SparseRow]:
-    """A basis of the row vectors f, zero off the coordinates kept, with
-    f (K - lam) = 0 for the upper bidiagonal K of the given bands, as rows
-    in stored form.
-
-    Column j of K - lam gives f_j (K[j, j] - lam) = -f_{j-1} K[j-1, j], so
-    the coordinates are solved left to right.  A nonzero coefficient on
-    f_j carries the chain through j - 1 on to j; a zero one leaves f_j a
-    new free parameter, and where K[j-1, j] is nonzero the equation kills
-    the chain through j - 1; a dropped coordinate kills it or ends it the
-    same way.  A chain that meets a zero K[j-1, j] is a basis vector."""
-    basis: list[SparseRow] = []
-    chain: list[tuple[int, Fraction]] = []  # its entries, through coordinate j - 1
-    for j, x in enumerate(diagonal):
-        b = superdiagonal[j - 1] if chain else _ZERO
-        if chain and not b:
-            basis.append(tuple(chain))
-        if j not in kept:
-            chain = []
-        elif x == lam:
-            chain = [(j, _ONE)]
-        elif b:
-            chain.append((j, -chain[-1][1] * b / (x - lam)))
-        else:
-            chain = []
-    if chain:
-        basis.append(tuple(chain))
-    return basis
 
 
 def multiplicity(rep: RepData, spec: VarietySpec, style: str = H_STYLE_LIE_PLUS_ELEMENTS) -> int:

@@ -247,7 +247,7 @@ def _mat(rows: int, cols: int, sparse_rows: tuple[SparseRow, ...]) -> Mat:
     written so.  In place of the tuple, a sequence that
     writes such rows on request and otherwise behaves as their tuple does
     is taken too (gl2._OnRequest, which holds the matrix-variety
-    constraints)."""
+    constraints and the binary-forms reflection)."""
     m = object.__new__(Mat)
     _init_mat(m, rows, cols, sparse_rows)
     return m

@@ -161,10 +161,6 @@ def graded_space_to_json(g: GradedVectorSpace) -> dict:
     return {str(n): d for n, d in g.pieces}
 
 
-def rep_from_json(value: Any, path: str = "$") -> RepData:
-    return _rep_reader(value, path)[1]()
-
-
 def _rep_reader(value: Any, path: str) -> tuple[int, Callable[[], RepData]]:
     """The dimension of a representation payload and a function that builds
     the representation, after every check: a labeled representation is
@@ -199,10 +195,6 @@ def group_action_from_json(value: Any, path: str = "$") -> GroupActionData:
         return GroupActionData(dim, mats)
     except ValueError as exc:
         raise InputError(path, str(exc)) from None
-
-
-def filt_object_from_json(value: Any, path: str = "$") -> FiltObject:
-    return filt_object_reader(value, path)[1]()
 
 
 def filt_object_reader(value: Any, path: str = "$") -> tuple[int, Callable[[], FiltObject]]:

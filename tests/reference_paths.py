@@ -226,18 +226,27 @@ def reference_subspace_contains(s: Subspace, v: Iterable[object]) -> bool:
 
 
 def reference_sym_power_matrix(g: Mat, n: int) -> Mat:
-    """Row i: coefficients of (a x + b y)^(n-i) (c x + d y)^i, expanded in Fractions."""
+    """Row i: coefficients of (a x + b y)^(n-i) (c x + d y)^i, in Fractions.
+    The powers of the two linear forms are expanded once, by repeated
+    multiplication, and row i multiplies the two it needs."""
     a, b, c, d = g.at(0, 0), g.at(0, 1), g.at(1, 0), g.at(1, 1)
+
+    def powers(u: Fraction, v: Fraction) -> list[list[Fraction]]:
+        out = [[Fraction(1)]]
+        for _ in range(n):
+            p = out[-1]
+            out.append([u * x + v * y for x, y in zip(p + [Fraction(0)], [Fraction(0)] + p)])
+        return out
+
+    # each power as its nonzero (degree in y, coefficient) pairs
+    left, right = ([[(j, x) for j, x in enumerate(p) if x] for p in powers(*form)] for form in ((a, b), (c, d)))
     rows = []
     for i in range(n + 1):
-        poly = [Fraction(1)]
-        for u, v in [(a, b)] * (n - i) + [(c, d)] * i:
-            out = [Fraction(0)] * (len(poly) + 1)
-            for j, coeff in enumerate(poly):
-                out[j] += u * coeff
-                out[j + 1] += v * coeff
-            poly = out
-        rows.append(poly)
+        row = [Fraction(0)] * (n + 1)
+        for j, x in left[n - i]:
+            for k, y in right[i]:
+                row[j + k] += x * y
+        rows.append(row)
     return Mat.from_rows(rows, n + 1)
 
 

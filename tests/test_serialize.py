@@ -66,17 +66,15 @@ def test_graded_module_round_trip():
 
 
 def test_rep_round_trips():
-    rep = serialize.rep_from_json({"group": "GL2", "label": [2, -1]})
+    rep = serialize._rep_reader({"group": "GL2", "label": [2, -1]}, "$")[1]()
     assert rep == irrep_gl2(2, -1)
-    prod = serialize.rep_from_json({"group": "GL2xGL2", "label": [[1, 0], [0, 2]]})
+    prod = serialize._rep_reader({"group": "GL2xGL2", "label": [[1, 0], [0, 2]]}, "$")[1]()
     assert prod == external_rep((1, 0), (0, 2))
-    generic = serialize.rep_from_json(
-        {"dim": 2, "weights": [[1, 0], [0, 1]], "ops": [[["0", "1"], ["0", "0"]]]}
-    )
+    generic = serialize._rep_reader({"dim": 2, "weights": [[1, 0], [0, 1]], "ops": [[["0", "1"], ["0", "0"]]]}, "$")[1]()
     assert generic.dim == 2
     assert generic.action_ops[0] == Mat.from_rows([[0, 1], [0, 0]])
     with pytest.raises(serialize.InputError):
-        serialize.rep_from_json({"group": "SL3", "label": [1, 0]})
+        serialize._rep_reader({"group": "SL3", "label": [1, 0]}, "$")[1]()
 
 
 def test_filt_object_from_json():
@@ -85,7 +83,7 @@ def test_filt_object_from_json():
         "h_action": {"dim": 1, "intertwiner_constraints": [[["0"]]]},
         "filtrations": [{"dim": 1, "steps": [{"index": 0, "basis": [["1"]]}]}],
     }
-    obj = serialize.filt_object_from_json(payload)
+    obj = serialize.filt_object_reader(payload)[1]()
     assert obj.rep.dim == 1
     assert len(obj.filtrations) == 1
 
@@ -133,7 +131,7 @@ def test_list_readers_keep_their_breadcrumbs():
     ]
     for payload, message in cases:
         with pytest.raises(serialize.InputError) as info:
-            serialize.filt_object_from_json(payload)
+            serialize.filt_object_reader(payload)[1]()
         assert str(info.value).startswith(message)
     variety = {"group_rank": 2, "group": "GL2", "cocharacters": [[1, 0]], "x_module_weights": [[-2, 0], [-1, -1], [0, -2]]}
     cases = [

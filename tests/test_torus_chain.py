@@ -1,7 +1,10 @@
 """The left kernel of a cell whose general constraint is upper bidiagonal,
-solved as a chain, against the path that writes every general constraint
-over the kept coordinates and ranks them all (reference_left_kernel_dim);
-and the classification that finds such constraints."""
+read off that constraint's reduced equations before the other general
+constraints are written over it, against the path that writes every
+general constraint over the kept coordinates and ranks them all
+(reference_left_kernel_dim); the classification that finds such
+constraints; and the forms reflection, written only at the rows the
+torus kernel reaches."""
 
 import random
 from fractions import Fraction
@@ -9,12 +12,13 @@ from fractions import Fraction
 import pytest
 
 from multifilt import gl2, homspaces, varieties
-from multifilt.gl2 import H_STYLES, GroupActionData, RepData, irrep_gl2
+from multifilt.gl2 import H_STYLES, GroupActionData, RepData, irrep_gl2, stabilizer_action_binary_forms
 from multifilt.homspaces import _left_kernel_dim, filt_object, grid_labels, multiplicity
-from multifilt.linalg import Mat, rank
+from multifilt.linalg import Mat, kernel, rref
 from multifilt.varieties import BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES, builtin_variety, custom_variety
 from reference_paths import (
     cached_object,
+    cached_reference_multiplicity,
     cached_rep,
     cached_trivial_object,
     reference_left_kernel_dim,
@@ -25,7 +29,7 @@ from reference_paths import (
 def _assert_chain_matches_reference(a, style):
     triv = cached_trivial_object("GL2", style)
     # the torus is general and bidiagonal from n = 1 on (at n = 0 it is 0)
-    assert (a.h_action.bidiagonals[0] is not None) == (a.rep.dim > 1)
+    assert a.h_action.bidiagonals[0] == (a.rep.dim > 1)
     got = _left_kernel_dim(a, triv)
     assert got == reference_left_kernel_dim(a, triv), (a.rep.label, style)
     return got
@@ -68,8 +72,10 @@ def _custom_cell(cocharacters, weights, constraints, lambdas):
     return custom_variety(2, cocharacters, [[-1, 0]], table), RepData(len(weights), tuple(weights), (), label="src")
 
 
-def test_chain_matches_the_reference_on_random_bidiagonal_custom_cells():
+def test_chain_matches_the_reference_on_random_bidiagonal_custom_cells(monkeypatch):
     rng = random.Random(2626)
+    reductions = []
+    monkeypatch.setattr(homspaces, "rref", lambda m: reductions.append(m) or rref(m))
     answers, chains, kinds = [], 0, set()
     for _ in range(300):
         dim = rng.randint(1, 7)
@@ -89,63 +95,95 @@ def test_chain_matches_the_reference_on_random_bidiagonal_custom_cells():
         spec, rep = _custom_cell(cocharacters, weights, constraints, lambdas)
         a = homspaces.filt_object(rep, spec)
         triv = homspaces.filt_object(spec.trivial_rep(), spec)
+        before = len(reductions)
         got = _left_kernel_dim(a, triv)
         assert got == reference_left_kernel_dim(a, triv) == reference_multiplicity(rep, spec), (cocharacters, weights, constraints, lambdas)
         answers.append(got)
-        k = next((k for k, bands in enumerate(a.h_action.bidiagonals) if bands), None)
-        if k is None:
+        # the bidiagonal constraint is reduced first only when another
+        # general constraint is left to write over its kernel
+        free, general = homspaces._left_kernel_entries(a, triv)
+        k = next((k for k, bidiagonal in enumerate(a.h_action.bidiagonals) if bidiagonal), None)
+        assert len(reductions) - before == int(k is not None and len(general) > 1)
+        if len(reductions) == before:
             continue
         chains += 1
-        # what the chain met: a zero after lambda on the diagonal, a zero
-        # superdiagonal entry, a coordinate dropped by the flags
-        (diagonal, superdiagonal), lam = a.h_action.bidiagonals[k], lambdas[k]
-        kinds |= {"zero diagonal"} if lam in diagonal else set()
-        kinds |= {"zero superdiagonal"} if not all(superdiagonal[:-1]) else set()
-        free, _ = homspaces._left_kernel_entries(a, triv)
+        # what the reduction met: a zero after lambda on the diagonal, a
+        # zero superdiagonal entry, a coordinate dropped by the flags
+        K, lam = a.h_action.intertwiner_constraints[k], lambdas[k]
+        kinds |= {"zero diagonal"} if any(K.at(i, i) == lam for i in range(dim)) else set()
+        kinds |= {"zero superdiagonal"} if not all(K.at(i, i + 1) for i in range(dim - 1)) else set()
         kinds |= {"dropped"} if len(free) < len(homspaces._free_entries(a.h_action, triv.h_action)[0]) else set()
-        _assert_chain_basis_solves(a, triv, k)
     assert chains > 100 and kinds == {"zero diagonal", "zero superdiagonal", "dropped"}
     assert {0, 1, 2, 3} <= set(answers)
 
 
-def _assert_chain_basis_solves(a, triv, k):
-    """Each chain vector vanishes off the kept coordinates and solves
-    f K = lambda f for constraint k."""
-    free, _ = homspaces._left_kernel_entries(a, triv)
-    kept = [c for _, c in free]
-    K = a.h_action.intertwiner_constraints[k]
-    lam = triv.h_action.intertwiner_constraints[k].at(0, 0)
-    basis = homspaces._chain_basis(kept, *a.h_action.bidiagonals[k], lam)
-    for f in basis:
-        assert {c for c, _ in f} <= set(kept)
-        row = Mat.from_sparse_rows([f], a.rep.dim)
-        assert row.sparse_rows == (f,) and row @ K == row.scale(lam)
-    # as many as the left kernel of K - lambda over the kept coordinates has
-    # dimensions: the rows of K - lambda there, ranked
-    shifted = [[K.at(c, j) - (lam if j == c else 0) for j in range(a.rep.dim)] for c in kept]
-    assert len(basis) == len(kept) - rank(Mat.from_rows(shifted, a.rep.dim))
-
-
 def test_bidiagonals_are_classified_once_and_never_from_rows_on_request(monkeypatch):
     forms, matrices = builtin_variety(BINARY_QUADRATIC_FORMS), builtin_variety(TWO_BY_TWO_MATRICES)
+    # the forms reflection is written on request too: neither classification
+    # reads its rows
+    monkeypatch.setattr(gl2, "_reflection_row", lambda *args: pytest.fail("a row on request was read to classify it"))
     action = forms.stabilizer_action(cached_rep("GL2", (6, 1)))
-    bands = action.bidiagonals
-    assert bands[1] is None and bands[0] == (tuple(Fraction(6 - 2 * i) for i in range(7)), tuple(Fraction(-2 * (i + 1)) for i in range(6)) + (0,))
-    monkeypatch.setattr(gl2, "_bands", lambda m: pytest.fail("a classified constraint was classified again"))
-    assert action.bidiagonals is bands
+    bidiagonals = action.bidiagonals
+    assert bidiagonals == (True, False) and action.diagonals[1] is None
+    monkeypatch.setattr(gl2, "_upper_bidiagonal", lambda m: pytest.fail("a classified constraint was classified again"))
+    assert action.bidiagonals is bidiagonals
     # a matrix cell reads no row to classify, so its rows stay unwritten
     for name in ("_e_f_row", "_f_e_row", "_diagonal_row"):
         monkeypatch.setattr(varieties, name, lambda *args: pytest.fail("a row on request was read to classify it"))
     rep = cached_rep("GL2xGL2", ((3, 1), (2, 0)))
-    assert matrices.stabilizer_action(rep).bidiagonals == (None,) * 4
+    assert matrices.stabilizer_action(rep).bidiagonals == (False,) * 4
     # a diagonal constraint is never handed over as bidiagonal
-    assert GroupActionData(2, (Mat.identity(2),)).bidiagonals == (None,)
+    assert GroupActionData(2, (Mat.identity(2),)).bidiagonals == (False,)
 
 
 def test_matrix_cells_keep_the_general_writer(monkeypatch):
-    calls = []
-    monkeypatch.setattr(homspaces, "_chain_basis", lambda *args: calls.append(args) or pytest.fail("a matrix cell took the chain"))
+    # as do forms cells in lie_only, whose torus is their one general
+    # constraint: nothing is left to write over its kernel
+    monkeypatch.setattr(homspaces, "rref", lambda m: pytest.fail("a cell reduced a constraint before the others"))
     matrices = builtin_variety(TWO_BY_TWO_MATRICES)
     for label in (((2, 1), (2, 1)), ((3, 0), (1, 2))):
         assert multiplicity(cached_rep("GL2xGL2", label), matrices) == int(label[0] == label[1])
-    assert not calls
+    forms = builtin_variety(BINARY_QUADRATIC_FORMS)
+    for label in ((4, 1), (5, 0)):
+        assert multiplicity(cached_rep("GL2", label), forms, H_STYLES[0]) == int(label[0] % 2 == 0)
+
+
+def _torus_kernel_support(a, triv):
+    """The coordinates where the left kernel of the torus constraint, over
+    the coordinates the flags keep, is nonzero: read off linalg.kernel of
+    its equations, written by the reference writer."""
+    free, general = homspaces._left_kernel_entries(a, triv)
+    null = kernel(Mat.from_sparse_rows(homspaces._constraint_rows(free, general[:1]), len(free)))
+    return {free[j][1] for row in null.sparse_rows for j, _ in row}
+
+
+def test_a_forms_cell_writes_only_the_reflection_rows_at_its_torus_kernel(monkeypatch):
+    # the kept trivial object is built before the writer is counted
+    forms = builtin_variety(BINARY_QUADRATIC_FORMS)
+    multiplicity(irrep_gl2(0, 0), forms)
+    triv = forms._trivial[H_STYLES[1]]
+    written = []
+    real = gl2._reflection_row
+    monkeypatch.setattr(gl2, "_reflection_row", lambda n, m, r: written.append(r) or real(n, m, r))
+    emptied = 0
+    for n, m in sorted(set(grid_labels("GL2", range(0, 17), range(-3, 4))) | {(84, 0), (167, 0), (168, 1)}):
+        expected = cached_reference_multiplicity("GL2", (n, m), H_STYLES[1]) if n <= 16 else int(n % 2 == 0 and m % 2 == 0)
+        a = filt_object(irrep_gl2(n, m), forms)
+        written.clear()
+        assert multiplicity(irrep_gl2(n, m), forms) == expected, (n, m)
+        support = _torus_kernel_support(a, triv) if n else set()
+        # every row written is read by the product with the kernel basis,
+        # once; none at all for odd n, whose torus kernel is empty
+        assert sorted(written) == sorted(support), (n, m)
+        assert n % 2 == 0 or not written
+        emptied += n % 2 == 0 and n > 0 and not support
+    # an even n whose flag drops the coordinate its torus kernel needs
+    assert emptied
+    written.clear()
+    # at n = 0 the reflection is the scalar (-1)^m, classified as diagonal
+    # from the eigenvalue it carries, with no row written
+    for m in range(-3, 4):
+        action = stabilizer_action_binary_forms(0, m)
+        assert action.diagonals == ((0,), ((-1) ** (m % 2),)) and type(action.diagonals[1][0]) is int
+        assert action.bidiagonals == (False, False)
+    assert not written

@@ -199,9 +199,10 @@ def test_constraints_are_classified_once_per_group_action_data(monkeypatch):
     monkeypatch.setattr(gl2, "_diagonal", lambda m: pytest.fail("a classified constraint was classified again"))
     assert [(hom_dim(a, b), hom_basis(a, b)) for a, b in pairs] == expected_homs
 
-    # a cell's own object is new, so its forms constraints are classified,
-    # once each; its matrix constraints carry their classification, and the
-    # kept trivial object's are never classified
+    # a cell's own object is new, so its forms torus is classified, once;
+    # its forms reflection and matrix constraints are written on request and
+    # carry their classification, and the kept trivial object's are never
+    # classified
     kept_constraints = [k for triv in kept for k in triv.h_action.intertwiner_constraints]
     calls = []
 
@@ -217,7 +218,7 @@ def test_constraints_are_classified_once_per_group_action_data(monkeypatch):
             rep = rep_from_label(group, label)
             before = len(calls)
             got.append(multiplicity(rep, specs[group], style))
-            expected_calls = 0 if group == "GL2xGL2" else len(specs[group].stabilizer_action(rep, style).intertwiner_constraints)
+            expected_calls = int(group == "GL2")
             assert len(calls) - before == expected_calls
     assert got == expected_cells
 
