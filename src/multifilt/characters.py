@@ -119,16 +119,22 @@ def label_weight_sum(label: object) -> int:
     return sum(n + 2 * m for n, m in label_factors(label))
 
 
+def _ring_layer(dual_weights: Iterable[Weight], d: int, rank: int) -> WeightMultiset:
+    layer = sym_power_weights(weight_multiset(dual_weights), d)
+    # with no weights, the constants come back at the empty weight: they sit
+    # at the zero weight of the torus rank
+    return {(0,) * rank: 1} if layer == {(): 1} else layer
+
+
 @lru_cache(maxsize=None)
-def _degree_decomposition(dual_weights: tuple[Weight, ...], d: int) -> dict[object, int]:
-    return decompose(sym_power_weights(weight_multiset(dual_weights), d))
+def _degree_decomposition(dual_weights: tuple[Weight, ...], d: int, rank: int) -> dict[object, int]:
+    return decompose(_ring_layer(dual_weights, d, rank))
 
 
 def coordinate_ring_character(spec: "VarietySpec", d: int) -> WeightMultiset:
     """Character of the degree-d part of the coordinate ring: the d-th
     symmetric power of the dual of the ambient module."""
-    dual = [tuple(-c for c in w) for w in spec.x_module_weights]
-    return sym_power_weights(weight_multiset(dual), d)
+    return _ring_layer([tuple(-c for c in w) for w in spec.x_module_weights], d, spec.rank)
 
 
 def oracle_degrees(spec: "VarietySpec", label: object, max_degree: int | None = None) -> range:
@@ -170,4 +176,4 @@ def oracle_multiplicity(spec: "VarietySpec", label: object, max_degree: int | No
     # without checking the factors again
     key = factors[0] if len(factors) == 1 else factors
     target = sum(n + 2 * m for n, m in factors)
-    return sum(_degree_decomposition(dual, d).get(key, 0) for d in _degrees(spec, target, max_degree))
+    return sum(_degree_decomposition(dual, d, spec.rank).get(key, 0) for d in _degrees(spec, target, max_degree))

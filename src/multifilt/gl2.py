@@ -29,7 +29,11 @@ The binary-forms reflection and the matrix-variety constraints hold their
 rows in an _OnRequest, which writes each row when it is first read and
 keeps it, so a Hom solve writes the rows at the coordinates it keeps; the
 matrix torus pairs, and the reflection at n = 0, also carry their integer
-eigenvalues, which GroupActionData.diagonals hands over as they are.  The
+eigenvalues, which GroupActionData.diagonals hands over as they are.
+Whether a general constraint is written whole or held on request is all
+the left-kernel solve of homspaces reads to choose its path: a forms cell
+in lie_plus_elements is the one cell with both, and it writes the
+reflection over the torus kernel only.  The
 operators of an external product are held the same way, each built when
 first read: nothing on the multiplicity path reads them, since the
 stabilizers and flags are written from the label and the weights.  The
@@ -141,10 +145,11 @@ class GroupActionData:
     """Equivariance constraints: a map f between two objects carrying data
     (A_1..A_k) and (B_1..B_k) is equivariant iff f A_i = B_i f for all i.
 
-    Each constraint is classified once, on the first read of diagonals, and
-    every Hom solve against the object reads that classification.  Rows
-    written on request are not read to classify them: their eigenvalues, or
-    None, are kept with them."""
+    Each constraint is classified once, as diagonal or general, on the
+    first read of diagonals, and every Hom solve against the object reads
+    that classification; it is the only one.  Rows written on request are
+    not read to classify them: their eigenvalues, or None, are kept with
+    them."""
 
     dim: int
     intertwiner_constraints: tuple[Mat, ...]
@@ -164,23 +169,6 @@ class GroupActionData:
         return tuple(
             [k.sparse_rows.eigenvalues if type(k.sparse_rows) is _OnRequest else _diagonal(k) for k in self.intertwiner_constraints]
         )
-
-    @cached_property
-    def bidiagonals(self) -> tuple[bool, ...]:
-        """Per constraint, whether diagonals leaves it general and row i has
-        no nonzero entry outside columns i and i + 1 (upper bidiagonal).
-        Rows written on request are not read, and are never taken as
-        bidiagonal.  Classified once, on first read, as diagonals is."""
-        return tuple(
-            [
-                e is None and type(k.sparse_rows) is not _OnRequest and _upper_bidiagonal(k)
-                for k, e in zip(self.intertwiner_constraints, self.diagonals)
-            ]
-        )
-
-
-def _upper_bidiagonal(m: Mat) -> bool:
-    return all(0 <= j - i <= 1 for i, row in enumerate(m.sparse_rows) for j, _ in row)
 
 
 def _diagonal(m: Mat) -> tuple[int | Fraction, ...] | None:

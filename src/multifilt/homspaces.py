@@ -50,25 +50,25 @@ scalars lambda, and the same equation writer gives f (K - lambda) = 0 for
 each general constraint, over the coordinates left, reading only their
 rows of K; one rank finishes the cell.
 
-A general constraint whose rows are upper bidiagonal, row i nonzero only
-at columns i and i + 1, is solved first when another general constraint
-is left to write: the binary-forms torus X = [[1, -2], [0, -1]] acts so on
-monomials, and its reflection is dense below the diagonal.  The torus
-equations are written over the coordinates left, as above, and reduced by
-one rref; the null-space rows of the reduced rows, the writer that kernel
-and annihilator_matrix share, made primitive integer rows and put back at
-their coordinates, are a basis of its left kernel.  X's diagonal, n - 2i,
-vanishes at most once, so that kernel has dimension at most 1.  The other
-general constraints (the reflection) are then written over that basis
-only, reading K's rows where the basis is nonzero alone (a product with
-the basis matrix), and the one rank call runs on that small system: its
-columns are the basis coefficients, and it is 0 x 0 when the kernel is
-empty.  The reflection's rows are written on request, so a forms cell
-writes those rows alone, and none for odd n.  Which constraints are upper
-bidiagonal is read once per GroupActionData, as the diagonal ones are, and
-never off rows written on request, so the matrix cells keep the path
-above, as does a forms cell in lie_only, whose torus is its one general
-constraint.
+The general constraints come in two kinds: written whole, and held in an
+_OnRequest whose rows are written when first read.  Only a binary-forms
+cell in lie_plus_elements has both: its torus X = [[1, -2], [0, -1]] is
+written whole, and its reflection, dense below the diagonal, on request.
+There the whole ones are solved first.  Their equations are written over
+the coordinates left, as above, and reduced by one rref; the null-space
+rows of the reduced rows, the writer that kernel and annihilator_matrix
+share, made primitive integer rows and put back at their coordinates, are
+a basis of their left kernel.  X's diagonal, n - 2i, vanishes at most
+once, so for a forms cell that kernel has dimension at most 1.  The
+constraints on request are then written over that basis only, reading K's
+rows where the basis is nonzero alone (a product with the basis matrix),
+and the one rank call runs on that small system: its columns are the
+basis coefficients, and it is 0 x 0 when the kernel is empty.  So a forms
+cell writes the reflection rows at the kernel's support alone, and none
+for odd n.  Every other cell has one kind only, and keeps the path above:
+the matrix cells, whose one general constraint is held on request, a
+forms cell in lie_only, whose torus is its one general constraint, and
+custom cells, whose constraints are written whole.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from itertools import product
 from typing import Container, Iterable, Sequence
 
 from .filtration import FilteredSpace
-from .gl2 import GROUP_FACTORS, GroupActionData, H_STYLE_LIE_PLUS_ELEMENTS, RepData, label_from_factors, rep_from_label
+from .gl2 import GROUP_FACTORS, GroupActionData, H_STYLE_LIE_PLUS_ELEMENTS, RepData, _OnRequest, label_from_factors, rep_from_label
 from .linalg import _SMALL, Mat, SparseRow, _mat, _null_rows, _primitive, kernel, rank, rref
 from .varieties import VarietySpec, cocharacter_filtration
 
@@ -276,28 +276,27 @@ def _left_kernel_entries(a: FiltObject, triv: FiltObject) -> tuple[list[tuple[in
 
 def _left_kernel_dim(a: FiltObject, triv: FiltObject) -> int:
     """hom_dim(a, triv) under the assumptions of _left_kernel_entries, by
-    one rank call.  When a general constraint's rows are upper bidiagonal
-    and another general constraint is left, the left kernel of the first
-    such is read off its reduced equations, and the others are written over
-    the basis it leaves; otherwise every general constraint is written over
-    the entries left.  See the module docstring."""
+    one rank call.  When general constraints written whole and general
+    constraints held on request are both present, the left kernel of the
+    whole ones is read off their reduced equations, and the others are
+    written over the basis it leaves; otherwise every general constraint is
+    written over the entries left.  See the module docstring."""
     free, general = _left_kernel_entries(a, triv)
-    k = next((k for k, bidiagonal in enumerate(a.h_action.bidiagonals) if bidiagonal), None)
-    if k is None or len(general) == 1:
+    held = [pair for pair in general if type(pair[0].sparse_rows) is _OnRequest]
+    whole = [pair for pair in general if type(pair[0].sparse_rows) is not _OnRequest]
+    if not (held and whole):
         rows = _constraint_rows(free, general)
         return len(free) - rank(_mat(len(rows), len(free), tuple(rows)))
-    # constraint k is not diagonal, so it is among the general pairs
-    first = a.h_action.intertwiner_constraints[k]
-    rows = _constraint_rows(free, [general.pop(next(i for i, (ka, _) in enumerate(general) if ka is first))])
+    rows = _constraint_rows(free, whole)
     red, pivots = rref(_mat(len(rows), len(free), tuple(rows)))
-    # its null-space rows, made primitive integer rows and put back at
+    # their null-space rows, made primitive integer rows and put back at
     # their coordinates: free grows with the column, so each stays sorted
     null = _null_rows(red.sparse_rows[: len(pivots)], len(free)).sparse_rows
     vectors = [tuple([(free[j][1], _SMALL[x]) for j, x in _primitive(row).items()]) for row in null]
     basis = _mat(len(vectors), a.rep.dim, tuple(vectors))
-    # the others, f K = lam f with f = t basis, read t (basis (K - lam)) = 0:
+    # the held ones, f K = lam f with f = t basis, read t (basis (K - lam)) = 0:
     # one row per column of K, over the coefficients t
-    rows = [row for ka, kb in general for row in (basis @ ka - basis.scale(kb.at(0, 0))).transpose().sparse_rows if row]
+    rows = [row for ka, kb in held for row in (basis @ ka - basis.scale(kb.at(0, 0))).transpose().sparse_rows if row]
     return basis.rows - rank(_mat(len(rows), basis.rows, tuple(rows)))
 
 

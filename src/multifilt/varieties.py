@@ -30,14 +30,21 @@ Conventions pinned by the built-ins (printed by the CLI as well):
   stabilizer of the identity matrix is then the twisted diagonal
   {(g, transpose-inverse of g)}, a connected copy of GL2, realized on a
   product representation by pairing each factor operator with minus the
-  transposed operator of the other factor.  The constraints are written
-  from the label on request (see gl2._OnRequest): each row is written in
-  stored form (see linalg._mat) when the solver first reads it, and kept,
-  so a cell writes only the rows at the coordinates its solve keeps, each
-  once.  The torus pairs are diagonal and carry their eigenvalues, the
-  weight differences, which the Hom solver reads without reading a row;
-  e x 1 - 1 x f and f x 1 - 1 x e have at most two nonzeros per row.
-  Boundary cocharacter (1, 1, 0, -1).
+  transposed operator of the other factor.  Three constraints are written:
+  the raising pair e x 1 - 1 x f and the two torus pairs.  The lowering
+  pair f x 1 - 1 x e adds no condition.  A map f intertwines the pairs of
+  two such objects exactly when it is fixed by the group acting on
+  Hom(V, W), a rational representation of the connected GL2.  There, a
+  vector of torus weight zero that the raising operator kills is a
+  highest-weight vector of weight zero, so it spans a trivial summand and
+  the lowering operator kills it too (Fulton-Harris, Representation
+  Theory, section 11).  The constraints are written from the label on
+  request (see gl2._OnRequest): each row is written in stored form (see
+  linalg._mat) when the solver first reads it, and kept, so a cell writes
+  only the rows at the coordinates its solve keeps, each once.  The torus
+  pairs are diagonal and carry their eigenvalues, the weight differences,
+  which the Hom solver reads without reading a row; e x 1 - 1 x f has at
+  most two nonzeros per row.  Boundary cocharacter (1, 1, 0, -1).
 """
 
 from __future__ import annotations
@@ -175,10 +182,11 @@ def _matrix_variety_stabilizer(rep: RepData, style: str) -> GroupActionData:
     except ValueError:
         raise ValueError("matrix-variety stabilizer needs a labeled GL2 x GL2 irreducible") from None
     dim = rep.dim
-    # the torus pairs h11 - h21 and h12 - h22 are diagonal, with the
-    # differences of the two factors' weights as eigenvalues; the general
-    # pairs are diagonal only on a line (n1 = n2 = 0), where they are zero
-    rows = [_OnRequest(dim, partial(write, n1, n2), (0,) if dim == 1 else None) for write in (_e_f_row, _f_e_row)]
+    # the raising pair is general but on a line (n1 = n2 = 0), where it is
+    # zero; the torus pairs h11 - h21 and h12 - h22 are diagonal, with the
+    # differences of the two factors' weights as eigenvalues.  The lowering
+    # pair adds no condition (see the module docstring) and is not written.
+    rows = [_OnRequest(dim, partial(_e_f_row, n1, n2), (0,) if dim == 1 else None)]
     torus = [tuple([w[a] - w[a + 2] for w in rep.weights]) for a in (0, 1)]
     rows += [_OnRequest(dim, partial(_diagonal_row, eigenvalues), eigenvalues) for eigenvalues in torus]
     return GroupActionData(dim, tuple([_mat(dim, dim, r) for r in rows]))
@@ -192,19 +200,13 @@ def _diagonal_row(eigenvalues: tuple[int, ...], c: int) -> SparseRow:
 # Basis vector (i, k) of the product sits at r = i * (n2 + 1) + k.  On a
 # factor of degree n, e sends vector j to j (vector j-1) and f sends it to
 # (n - j) (vector j+1) (see gl2), so row r of e x 1 - 1 x f holds
-# -(n2 - k + 1) at (i, k-1) and i + 1 at (i+1, k), and row r of
-# f x 1 - 1 x e holds n1 - i + 1 at (i-1, k) and -(k + 1) at (i, k+1): at
-# most two nonzeros, none of them zero, in increasing columns, so each row
-# is in stored form as written.  Each value is one lookup in linalg's
-# shared table (a fresh Fraction past it).
+# -(n2 - k + 1) at (i, k-1) and i + 1 at (i+1, k): at most two nonzeros,
+# none of them zero, in increasing columns, so the row is in stored form as
+# written.  Each value is one lookup in linalg's shared table (a fresh
+# Fraction past it).
 def _e_f_row(n1: int, n2: int, r: int) -> SparseRow:
     i, k = divmod(r, n2 + 1)
     return ((r - 1, _SMALL[k - n2 - 1]),) * (k > 0) + ((r + n2 + 1, _SMALL[i + 1]),) * (i < n1)
-
-
-def _f_e_row(n1: int, n2: int, r: int) -> SparseRow:
-    i, k = divmod(r, n2 + 1)
-    return ((r - n2 - 1, _SMALL[n1 - i + 1]),) * (i > 0) + ((r + 1, _SMALL[-k - 1]),) * (k < n2)
 
 
 def custom_variety(

@@ -205,6 +205,8 @@ def test_only_the_chosen_workloads_run_and_the_output_names_them(tmp_path, monke
     monkeypatch.setattr(bench_pairs, "export_commit", lambda rev, dest: dest.mkdir(parents=True))
     monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda dest: None)
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    # no git either: rev-parse names a commit, status reports a clean tree
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "0" * 40 + "\n" if args[0] == "rev-parse" else "")
     out = tmp_path / "pairs.json"
     assert bench_pairs.main(["--pairs", "2", "--seed", "11", "--out", str(out), "--workload", "random-filtered"]) == 0
     # two pairs, base first and then change first
@@ -212,3 +214,4 @@ def test_only_the_chosen_workloads_run_and_the_output_names_them(tmp_path, monke
     report = json.loads(out.read_text())
     assert report["workloads_run"] == ["random-filtered"] and list(report["workloads"]) == ["random-filtered"]
     assert report["workloads"]["random-filtered"]["metrics"]["ops_per_s"]["change_wins"] == 2
+    assert report["base"] == "0" * 40 and report["change"] == {"head": "0" * 40, "dirty": False}

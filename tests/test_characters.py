@@ -14,7 +14,7 @@ from multifilt.characters import (
     weight_multiset,
 )
 from multifilt.gl2 import weights_of_label
-from multifilt.varieties import BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES, builtin_variety
+from multifilt.varieties import BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES, builtin_variety, custom_variety
 from reference_paths import reference_sym_power_weights
 
 
@@ -97,6 +97,14 @@ def test_decompose_errors():
 def test_coordinate_ring_character_degree_one():
     forms = builtin_variety(BINARY_QUADRATIC_FORMS)
     assert coordinate_ring_character(forms, 1) == weight_multiset(weights_of_label((2, 0)))
+
+
+def test_coordinate_ring_of_the_zero_module_is_the_constants():
+    # degree 0 sits at the zero weight of the torus rank, not the empty weight
+    for rank in (2, 4):
+        zero = custom_variety(rank, [], [])
+        assert coordinate_ring_character(zero, 0) == {(0,) * rank: 1}
+        assert [coordinate_ring_character(zero, d) for d in (1, 2)] == [{}, {}]
 
 
 def test_oracle_binary_forms():

@@ -210,6 +210,18 @@ def test_oracle_degree_bound_uses_max_degree_when_sums_do_not_decide(tmp_path, c
     assert code == 0 and out.strip() == "1"
 
 
+def test_oracle_on_the_zero_module_finds_the_constants_alone(tmp_path, capsys):
+    # the coordinate ring of U = 0 is the constants: the trivial label once,
+    # in degree 0, at the zero weight of the torus rank
+    cases = {"GL2": (2, [("0,0", "1"), ("1,0", "0"), ("0,1", "0")]), "GL2xGL2": (4, [("0,0;0,0", "1"), ("0,0;1,0", "0")])}
+    for group, (rank, answers) in cases.items():
+        path = tmp_path / f"{group}.json"
+        path.write_text(json.dumps({"group_rank": rank, "group": group, "cocharacters": [], "x_module_weights": []}))
+        for label, expected in answers:
+            code, out, err = _run(capsys, ["oracle", "--variety-file", str(path), "--label", label, "--max-degree", "3"])
+            assert (code, out.strip(), err) == (0, expected, ""), (group, label)
+
+
 def test_label_of_the_wrong_shape_rejected(capsys):
     for command in ("multiplicity", "oracle", "filtration"):
         code, out, err = _run(capsys, [command, "--variety", "TwoByTwoMatrices", "--label", "1,0"])

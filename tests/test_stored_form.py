@@ -93,11 +93,13 @@ def test_on_request_behaves_as_its_tuple(monkeypatch):
     label = ((2, 1), (1, 0))
     rep = rep_from_label("GL2xGL2", label)
     ops, constraints = rep.action_ops, spec.stabilizer_action(rep).intertwiner_constraints
-    e_f, torus = constraints[0].sparse_rows, constraints[2].sparse_rows
+    e_f, torus = constraints[0].sparse_rows, constraints[1].sparse_rows
     # each row is written once, when first read
     assert e_f[4] is e_f[4] and torus[4] is torus[-2] and writes == {"_e_f_row": 1, "_diagonal_row": 1}
+    # the recipe writes the raising pair and the torus pairs, not the lowering one
     refs = reference_eager_matrix_stabilizer(rep)
-    for seq, ref in ((ops, reference_external_rep(*label).action_ops), (e_f, refs[0].sparse_rows), (torus, refs[2].sparse_rows)):
+    refs = (refs[0], *refs[2:])
+    for seq, ref in ((ops, reference_external_rep(*label).action_ops), (e_f, refs[0].sparse_rows), (torus, refs[1].sparse_rows)):
         assert type(seq) is gl2._OnRequest and len(seq) == len(ref)
         for k in (0, 3, -1, -len(ref)):
             assert seq[k] == ref[k]
@@ -113,9 +115,9 @@ def test_on_request_behaves_as_its_tuple(monkeypatch):
         assert seq + ref == ref + seq == ref + ref and seq + () == ref
     assert writes == {"_e_f_row": 6, "_diagonal_row": 6}
     # the constraints stack on either side, as their Mats of rows do
-    for k, (m, ref) in enumerate(zip(constraints, refs)):
+    for k, (m, ref) in enumerate(zip(constraints, refs, strict=True)):
         assert vstack(m, ref) == vstack(ref, m) == vstack(ref, ref)
-        assert m.sparse_rows.eigenvalues == (gl2._diagonal(ref) if k >= 2 else None)
+        assert m.sparse_rows.eigenvalues == (gl2._diagonal(ref) if k >= 1 else None)
 
 
 def _assert_sorted_fractions(m: Mat) -> None:
@@ -179,7 +181,7 @@ def test_constraints_and_flags_are_in_stored_form():
         _assert_echelon_steps(rep, specs[group])
     assert unshared
     # a zero torus eigenvalue leaves its row empty rather than storing a zero
-    matrix_torus = specs["GL2xGL2"].stabilizer_action(rep_from_label("GL2xGL2", ((1, 0), (1, 0)))).intertwiner_constraints[2]
+    matrix_torus = specs["GL2xGL2"].stabilizer_action(rep_from_label("GL2xGL2", ((1, 0), (1, 0)))).intertwiner_constraints[1]
     forms_torus = specs["GL2"].stabilizer_action(rep_from_label("GL2", (2, 0))).intertwiner_constraints[0]
     assert matrix_torus.sparse_rows[0] == () and forms_torus.sparse_rows[1] == ((2, -4),)
 

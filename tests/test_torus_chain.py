@@ -1,20 +1,19 @@
-"""The left kernel of a cell whose general constraint is upper bidiagonal,
-read off that constraint's reduced equations before the other general
-constraints are written over it, against the path that writes every
-general constraint over the kept coordinates and ranks them all
-(reference_left_kernel_dim); the classification that finds such
-constraints; and the forms reflection, written only at the rows the
-torus kernel reaches."""
+"""The left kernel of a cell whose general constraints include some
+written whole and some held on request, read off the whole ones' reduced
+equations before the others are written over it, against the path that
+writes every general constraint over the kept coordinates and ranks them
+all (reference_left_kernel_dim); the cells that keep that joint path; and
+the forms reflection, written only at the rows the torus kernel reaches."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from multifilt import gl2, homspaces, varieties
-from multifilt.gl2 import H_STYLES, GroupActionData, RepData, irrep_gl2, stabilizer_action_binary_forms
+from multifilt import gl2, homspaces
+from multifilt.gl2 import H_STYLES, RepData, _OnRequest, irrep_gl2, stabilizer_action_binary_forms
 from multifilt.homspaces import _left_kernel_dim, filt_object, grid_labels, multiplicity
-from multifilt.linalg import Mat, kernel, rref
+from multifilt.linalg import Mat, _mat, kernel, rank, rref
 from multifilt.varieties import BINARY_QUADRATIC_FORMS, TWO_BY_TWO_MATRICES, builtin_variety, custom_variety
 from reference_paths import (
     cached_object,
@@ -28,8 +27,6 @@ from reference_paths import (
 
 def _assert_chain_matches_reference(a, style):
     triv = cached_trivial_object("GL2", style)
-    # the torus is general and bidiagonal from n = 1 on (at n = 0 it is 0)
-    assert a.h_action.bidiagonals[0] == (a.rep.dim > 1)
     got = _left_kernel_dim(a, triv)
     assert got == reference_left_kernel_dim(a, triv), (a.rep.label, style)
     return got
@@ -67,78 +64,93 @@ def _bidiagonal(rng, dim, lam):
     return [[diagonal[i] if j == i else superdiagonal[i] if j == i + 1 else 0 for j in range(dim)] for i in range(dim)]
 
 
-def _custom_cell(cocharacters, weights, constraints, lambdas):
-    table = {"src": [Mat.from_rows(k, len(weights)) for k in constraints], "trivial": [Mat.from_rows([[x]]) for x in lambdas]}
-    return custom_variety(2, cocharacters, [[-1, 0]], table), RepData(len(weights), tuple(weights), (), label="src")
+def _random_rows(rng, kind, dim, lam):
+    """Rows of a bidiagonal, diagonal or dense constraint whose entries are
+    often lam."""
+    if kind == "bidiagonal":
+        return _bidiagonal(rng, dim, lam)
+    if kind == "diagonal":
+        return [[rng.choice((lam, lam, 1)) if j == i else 0 for j in range(dim)] for i in range(dim)]
+    return [[rng.choice((0, 0, 1, -1, lam)) for _ in range(dim)] for _ in range(dim)]
+
+
+def _random_cell(rng, kinds, held):
+    """A custom example and a representation over it with one constraint
+    per entry of kinds, against a trivial object whose scalars are often the
+    constraints' diagonal entries; the constraints at the indices in held
+    keep their rows in an _OnRequest, the rest are written whole."""
+    dim = rng.randint(1, 7)
+    weights = [(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(dim)]
+    cocharacters = [[rng.randint(-1, 1), rng.randint(-1, 1)] for _ in range(rng.randint(0, 2))]
+    constraints, lambdas = [], []
+    for k, kind in enumerate(kinds):
+        lam = rng.choice((0, 1, -2, Fraction(1, 2)))
+        m = Mat.from_rows(_random_rows(rng, kind, dim, lam), dim)
+        constraints.append(_mat(dim, dim, _OnRequest(dim, m.sparse_rows.__getitem__)) if k in held else m)
+        lambdas.append(lam)
+    table = {"src": constraints, "trivial": [Mat.from_rows([[x]]) for x in lambdas]}
+    return custom_variety(2, cocharacters, [[-1, 0]], table), RepData(dim, tuple(weights), (), label="src")
 
 
 def test_chain_matches_the_reference_on_random_bidiagonal_custom_cells(monkeypatch):
+    # custom constraints are written whole, so every cell keeps the joint
+    # writer, bidiagonal constraints among them, and no cell reduces
     rng = random.Random(2626)
-    reductions = []
-    monkeypatch.setattr(homspaces, "rref", lambda m: reductions.append(m) or rref(m))
-    answers, chains, kinds = [], 0, set()
+    monkeypatch.setattr(homspaces, "rref", lambda m: pytest.fail("a custom cell reduced a constraint before the others"))
+    answers = []
     for _ in range(300):
-        dim = rng.randint(1, 7)
-        weights = [(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(dim)]
-        cocharacters = [[rng.randint(-1, 1), rng.randint(-1, 1)] for _ in range(rng.randint(0, 2))]
-        constraints, lambdas = [], []
-        for kind in rng.sample(("bidiagonal", "bidiagonal", "diagonal", "dense"), rng.randint(1, 3)):
-            lam = rng.choice((0, 1, -2, Fraction(1, 2)))
-            if kind == "bidiagonal":
-                rows = _bidiagonal(rng, dim, lam)
-            elif kind == "diagonal":
-                rows = [[rng.choice((lam, lam, 1)) if j == i else 0 for j in range(dim)] for i in range(dim)]
-            else:
-                rows = [[rng.choice((0, 0, 1, -1, lam)) for _ in range(dim)] for _ in range(dim)]
-            constraints.append(rows)
-            lambdas.append(lam)
-        spec, rep = _custom_cell(cocharacters, weights, constraints, lambdas)
-        a = homspaces.filt_object(rep, spec)
-        triv = homspaces.filt_object(spec.trivial_rep(), spec)
-        before = len(reductions)
+        kinds = rng.sample(("bidiagonal", "bidiagonal", "diagonal", "dense"), rng.randint(1, 3))
+        spec, rep = _random_cell(rng, kinds, ())
+        a, triv = filt_object(rep, spec), filt_object(spec.trivial_rep(), spec)
         got = _left_kernel_dim(a, triv)
-        assert got == reference_left_kernel_dim(a, triv) == reference_multiplicity(rep, spec), (cocharacters, weights, constraints, lambdas)
+        assert got == reference_left_kernel_dim(a, triv) == reference_multiplicity(rep, spec), (rep.dim, kinds)
         answers.append(got)
-        # the bidiagonal constraint is reduced first only when another
-        # general constraint is left to write over its kernel
-        free, general = homspaces._left_kernel_entries(a, triv)
-        k = next((k for k, bidiagonal in enumerate(a.h_action.bidiagonals) if bidiagonal), None)
-        assert len(reductions) - before == int(k is not None and len(general) > 1)
-        if len(reductions) == before:
-            continue
-        chains += 1
-        # what the reduction met: a zero after lambda on the diagonal, a
-        # zero superdiagonal entry, a coordinate dropped by the flags
-        K, lam = a.h_action.intertwiner_constraints[k], lambdas[k]
-        kinds |= {"zero diagonal"} if any(K.at(i, i) == lam for i in range(dim)) else set()
-        kinds |= {"zero superdiagonal"} if not all(K.at(i, i + 1) for i in range(dim - 1)) else set()
-        kinds |= {"dropped"} if len(free) < len(homspaces._free_entries(a.h_action, triv.h_action)[0]) else set()
-    assert chains > 100 and kinds == {"zero diagonal", "zero superdiagonal", "dropped"}
     assert {0, 1, 2, 3} <= set(answers)
 
 
-def test_bidiagonals_are_classified_once_and_never_from_rows_on_request(monkeypatch):
-    forms, matrices = builtin_variety(BINARY_QUADRATIC_FORMS), builtin_variety(TWO_BY_TWO_MATRICES)
-    # the forms reflection is written on request too: neither classification
-    # reads its rows
-    monkeypatch.setattr(gl2, "_reflection_row", lambda *args: pytest.fail("a row on request was read to classify it"))
-    action = forms.stabilizer_action(cached_rep("GL2", (6, 1)))
-    bidiagonals = action.bidiagonals
-    assert bidiagonals == (True, False) and action.diagonals[1] is None
-    monkeypatch.setattr(gl2, "_upper_bidiagonal", lambda m: pytest.fail("a classified constraint was classified again"))
-    assert action.bidiagonals is bidiagonals
-    # a matrix cell reads no row to classify, so its rows stay unwritten
-    for name in ("_e_f_row", "_f_e_row", "_diagonal_row"):
-        monkeypatch.setattr(varieties, name, lambda *args: pytest.fail("a row on request was read to classify it"))
-    rep = cached_rep("GL2xGL2", ((3, 1), (2, 0)))
-    assert matrices.stabilizer_action(rep).bidiagonals == (False,) * 4
-    # a diagonal constraint is never handed over as bidiagonal
-    assert GroupActionData(2, (Mat.identity(2),)).bidiagonals == (False,)
+def test_whole_constraints_are_solved_first_only_beside_constraints_on_request(monkeypatch):
+    rng = random.Random(2828)
+    reductions, ranks = [], []
+    monkeypatch.setattr(homspaces, "rref", lambda m: reductions.append(m) or rref(m))
+    monkeypatch.setattr(homspaces, "rank", lambda m: ranks.append(m.cols) or rank(m))
+    answers, chains, met = [], 0, set()
+    for _ in range(300):
+        kinds = rng.sample(("bidiagonal", "bidiagonal", "diagonal", "dense", "dense"), rng.randint(1, 3))
+        held = set(rng.sample(range(len(kinds)), rng.randint(0, len(kinds))))
+        spec, rep = _random_cell(rng, kinds, held)
+        a, triv = filt_object(rep, spec), filt_object(spec.trivial_rep(), spec)
+        reductions.clear(), ranks.clear()
+        got = _left_kernel_dim(a, triv)
+        # one rank call, on a system with no columns when the kernel is empty
+        (columns,) = ranks
+        free, general = homspaces._left_kernel_entries(a, triv)
+        assert got == reference_left_kernel_dim(a, triv) == reference_multiplicity(rep, spec), (rep.dim, kinds, held)
+        answers.append(got)
+        # the whole constraints are reduced, once, only when general
+        # constraints of both kinds are left
+        on_request = [type(ka.sparse_rows) is _OnRequest for ka, _ in general]
+        assert len(reductions) == int(True in on_request and False in on_request)
+        if not reductions:
+            continue
+        chains += 1
+        # what the reduction met: dense and bidiagonal constraints of both
+        # kinds, a zero after lambda on a diagonal, a coordinate dropped by
+        # the flags, and a whole constraint whose left kernel is empty
+        for (ka, kb), held_rows in zip(general, on_request):
+            kind = "bidiagonal" if all(0 <= j - i <= 1 for i, row in enumerate(ka.sparse_rows) for j, _ in row) else "dense"
+            met.add((kind, held_rows))
+            met |= {"zero after lambda"} if any(ka.at(i, i) == kb.at(0, 0) for i in range(ka.rows)) else set()
+        met |= {"dropped"} if len(free) < len(homspaces._free_entries(a.h_action, triv.h_action)[0]) else set()
+        met |= {"empty kernel"} if columns == 0 else set()
+    assert chains > 50
+    assert met == {*((kind, held) for kind in ("bidiagonal", "dense") for held in (True, False)), "zero after lambda", "dropped", "empty kernel"}
+    assert {0, 1, 2} <= set(answers)
 
 
 def test_matrix_cells_keep_the_general_writer(monkeypatch):
-    # as do forms cells in lie_only, whose torus is their one general
-    # constraint: nothing is left to write over its kernel
+    # a matrix cell's one general constraint, the raising pair, is held on
+    # request, and a forms cell in lie_only keeps its torus alone, written
+    # whole: neither has both kinds, so nothing is written over a kernel
     monkeypatch.setattr(homspaces, "rref", lambda m: pytest.fail("a cell reduced a constraint before the others"))
     matrices = builtin_variety(TWO_BY_TWO_MATRICES)
     for label in (((2, 1), (2, 1)), ((3, 0), (1, 2))):
@@ -185,5 +197,4 @@ def test_a_forms_cell_writes_only_the_reflection_rows_at_its_torus_kernel(monkey
     for m in range(-3, 4):
         action = stabilizer_action_binary_forms(0, m)
         assert action.diagonals == ((0,), ((-1) ** (m % 2),)) and type(action.diagonals[1][0]) is int
-        assert action.bidiagonals == (False, False)
     assert not written

@@ -3,6 +3,7 @@ filtration conditions and coordinate-flag filtrations against the plain
 constructions in reference_paths."""
 
 import random
+from dataclasses import replace
 from collections import Counter
 from fractions import Fraction
 
@@ -230,13 +231,13 @@ def test_a_large_cell_writes_only_the_general_rows_it_keeps(monkeypatch):
     spec = builtin_variety(TWO_BY_TWO_MATRICES)
     expected = [multiplicity(rep_from_label("GL2xGL2", ((n, 1), (n, 1))), spec) for n in range(13)]
     writes = Counter()
-    for name in ("_e_f_row", "_f_e_row"):
-        real = getattr(varieties, name)
-        monkeypatch.setattr(varieties, name, lambda n1, n2, r, real=real, name=name: writes.update([name]) or real(n1, n2, r))
+    real = varieties._e_f_row
+    monkeypatch.setattr(varieties, "_e_f_row", lambda n1, n2, r: writes.update([r]) or real(n1, n2, r))
     for n in range(13):
         writes.clear()
         assert multiplicity(rep_from_label("GL2xGL2", ((n, 1), (n, 1))), spec) == expected[n]
-        assert set(writes) <= {"_e_f_row", "_f_e_row"} and all(count <= n + 1 for count in writes.values()), (n, writes)
+        # each row at most once, and only rows (i, i), r = i (n + 2)
+        assert set(writes.values()) <= {1} and all(r % (n + 2) == 0 for r in writes), (n, writes)
         assert n == 0 or writes
 
 
@@ -310,17 +311,23 @@ def _matrix_stabilizer_labels():
     yield from (((3, -1), (7, 2)), ((7, 2), (3, -1)), ((0, 4), (5, 0)), ((9, 1), (0, -3)), ((1, 0), (12, 5)))
 
 
+def _raising_and_torus(pairs):
+    """The pairs the recipe writes, out of the four of a reference: all but
+    the lowering pair f x 1 - 1 x e, which adds no condition."""
+    return (pairs[0], *pairs[2:])
+
+
 def _assert_written_as_eager(action, rep):
     """Each constraint's rows, read one at a time as the Hom solver reads
     them and then whole, are the rows the eager recipe writes, and the
     classification it carries is what _diagonal reads off the eager Mats."""
-    eager = reference_eager_matrix_stabilizer(rep)
+    eager = _raising_and_torus(reference_eager_matrix_stabilizer(rep))
     for k, e in zip(action.intertwiner_constraints, eager, strict=True):
         assert (k.rows, k.cols, len(k.sparse_rows)) == (e.rows, e.cols, e.rows)
         assert tuple(k.sparse_rows[c] for c in range(k.rows)) == e.sparse_rows
         assert vstack(k, e) == vstack(e, k) and k.transpose() == e.transpose()
     assert action.diagonals == tuple(map(gl2._diagonal, eager))
-    assert all(type(x) is int for eigen in action.diagonals[2:] for x in eigen)
+    assert all(type(x) is int for eigen in action.diagonals[1:] for x in eigen)
     assert action.intertwiner_constraints == eager and eager == action.intertwiner_constraints
     assert hash(action.intertwiner_constraints) == hash(eager) and repr(action.intertwiner_constraints) == repr(eager)
 
@@ -330,12 +337,12 @@ def test_matrix_stabilizer_matches_kron_and_subtract():
     # the last two have weight differences past the shared table
     for label in [*_matrix_stabilizer_labels(), ((0, 0), (0, 0)), ((0, 300), (0, -300)), ((2, -300), (3, 301))]:
         rep = rep_from_label("GL2xGL2", label)
-        expected = reference_matrix_variety_stabilizer(rep)
+        expected = _raising_and_torus(reference_matrix_variety_stabilizer(rep))
         for style in H_STYLES:
             _assert_written_as_eager(spec.stabilizer_action(rep, style), rep)
             assert spec.stabilizer_action(rep, style).intertwiner_constraints == expected, label
     triv = spec.trivial_rep()
-    assert spec.stabilizer_action(triv).intertwiner_constraints == reference_matrix_variety_stabilizer(triv)
+    assert spec.stabilizer_action(triv).intertwiner_constraints == _raising_and_torus(reference_matrix_variety_stabilizer(triv))
 
 
 def test_matrix_stabilizer_needs_a_product_label():
@@ -377,7 +384,7 @@ def test_stored_form_builders_match_references_on_random_labels():
     zero_rows = 0
     for label in _random_product_labels(rng, 24):
         rep = rep_from_label("GL2xGL2", label)
-        expected = reference_matrix_variety_stabilizer(rep)
+        expected = _raising_and_torus(reference_matrix_variety_stabilizer(rep))
         for style in H_STYLES:
             action = matrices.stabilizer_action(rep, style)
             _assert_written_as_eager(action, rep)
@@ -385,7 +392,7 @@ def test_stored_form_builders_match_references_on_random_labels():
             assert got == expected, label
             for m in got:
                 _assert_stored_form(m)
-        zero_rows += got[2].sparse_rows.count(())
+        zero_rows += got[1].sparse_rows.count(())
         _assert_filtration_matches(rep, matrices.boundary_cocharacters[0])
         _assert_echelon_steps(rep, matrices)
     for _ in range(24):
@@ -449,3 +456,46 @@ def test_conditions_once_match_per_jump_on_random_pairs(monkeypatch):
             filts = tuple(_random_flag(rng, dim) for _ in range(nfilt))
             objects.append(FiltObject(RepData(dim, ((0, 0),) * dim, ()), GroupActionData(dim, cons), filts))
         _assert_conditions_once_match_per_jump(*objects, monkeypatch)
+
+
+def _with_four_pairs(obj):
+    """obj with all four pairs of reference_matrix_variety_stabilizer, the
+    lowering pair among them, in place of the recipe's three."""
+    return FiltObject(obj.rep, GroupActionData(obj.rep.dim, reference_matrix_variety_stabilizer(obj.rep)), obj.filtrations)
+
+
+def test_the_lowering_pair_adds_no_condition():
+    # a map fixed by the torus and the raising operator of a connected GL2
+    # is fixed by the lowering one too, so the recipe's three pairs and the
+    # reference's four answer alike: by multiplicity and by the general
+    # hom_dim against the trivial object, on the paper grid in both styles
+    # and the large cells, and between seeded flagged matrix objects
+    matrices = builtin_variety(TWO_BY_TWO_MATRICES)
+    four = replace(matrices, stabilizer=lambda rep, style: GroupActionData(rep.dim, reference_matrix_variety_stabilizer(rep)))
+    triv = _with_four_pairs(cached_trivial_object("GL2xGL2", H_STYLES[1]))
+    answers = set()
+    for label in [*grid_labels("GL2xGL2", range(0, 5), range(-2, 4)), *(((n, 1), (n, 1)) for n in range(13))]:
+        rep = cached_rep("GL2xGL2", label)
+        got = multiplicity(rep, four)
+        assert hom_dim(_with_four_pairs(cached_object("GL2xGL2", label, H_STYLES[1])), triv) == got, label
+        for style in H_STYLES:
+            assert multiplicity(rep, matrices, style) == got == cached_reference_multiplicity("GL2xGL2", label, style), (label, style)
+        answers.add(got)
+    assert answers == {0, 1}
+    rng = random.Random(2880)
+    factors = [(n, m) for n in range(3) for m in range(-1, 2)]
+    dims = Counter()
+
+    def flagged(label):
+        rep = cached_rep("GL2xGL2", label)
+        return FiltObject(rep, matrices.stabilizer_action(rep), tuple(_random_flag(rng, rep.dim) for _ in range(nfilt)))
+
+    for _ in range(150):
+        nfilt = rng.randint(0, 2)
+        a = flagged((rng.choice(factors), rng.choice(factors)))
+        # every other pair is an object against itself, whose Homs hold the identity
+        b = a if rng.random() < 0.5 else flagged((rng.choice(factors), rng.choice(factors)))
+        got = hom_basis(a, b)
+        assert hom_dim(a, b) == len(got) and hom_basis(_with_four_pairs(a), _with_four_pairs(b)) == got, (a.rep.label, b.rep.label)
+        dims[len(got)] += 1
+    assert {0, 1, 2} <= set(dims) and dims[0] < 100, dims
