@@ -84,6 +84,12 @@ def test_operator_shapes_are_checked(monkeypatch):
             rep.action_ops[k]
 
 
+def _raising_and_torus(pairs):
+    """The pairs the recipe writes, out of the four of a reference: all but
+    the lowering pair f x 1 - 1 x e, which adds no condition."""
+    return (pairs[0], *pairs[2:])
+
+
 def test_on_request_behaves_as_its_tuple(monkeypatch):
     writes = Counter()
     for name in ("_e_f_row", "_diagonal_row"):
@@ -96,9 +102,7 @@ def test_on_request_behaves_as_its_tuple(monkeypatch):
     e_f, torus = constraints[0].sparse_rows, constraints[1].sparse_rows
     # each row is written once, when first read
     assert e_f[4] is e_f[4] and torus[4] is torus[-2] and writes == {"_e_f_row": 1, "_diagonal_row": 1}
-    # the recipe writes the raising pair and the torus pairs, not the lowering one
-    refs = reference_eager_matrix_stabilizer(rep)
-    refs = (refs[0], *refs[2:])
+    refs = _raising_and_torus(reference_eager_matrix_stabilizer(rep))
     for seq, ref in ((ops, reference_external_rep(*label).action_ops), (e_f, refs[0].sparse_rows), (torus, refs[1].sparse_rows)):
         assert type(seq) is gl2._OnRequest and len(seq) == len(ref)
         for k in (0, 3, -1, -len(ref)):

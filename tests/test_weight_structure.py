@@ -47,7 +47,7 @@ from reference_paths import (
     reference_matrix_variety_stabilizer,
     reference_per_jump_hom_system,
 )
-from test_stored_form import _assert_echelon_steps, _assert_stored_form
+from test_stored_form import _assert_echelon_steps, _assert_stored_form, _raising_and_torus
 
 
 def _diag(*entries):
@@ -309,12 +309,6 @@ def _matrix_stabilizer_labels():
     yield from (((n, 1), (n, 1)) for n in range(0, 13))
     # factors of different degrees and twists, in both orders
     yield from (((3, -1), (7, 2)), ((7, 2), (3, -1)), ((0, 4), (5, 0)), ((9, 1), (0, -3)), ((1, 0), (12, 5)))
-
-
-def _raising_and_torus(pairs):
-    """The pairs the recipe writes, out of the four of a reference: all but
-    the lowering pair f x 1 - 1 x e, which adds no condition."""
-    return (pairs[0], *pairs[2:])
 
 
 def _assert_written_as_eager(action, rep):
