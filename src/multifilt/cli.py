@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import prod
+from math import comb, prod
 from typing import Callable, Sequence
 
 from . import serialize
@@ -78,6 +78,20 @@ MAX_REP_DIM = 169
 # take 0.1 s at degree 200 and 0.3 s at 400.  A grid computes each of its
 # degrees once: the 6561 cells of n=0..80,m=0..0 take 7 s.
 MAX_ORACLE_DEGREE = 80
+
+# Largest work, w * C(d + w', w'), that oracle's layer recurrence may do,
+# checked with MAX_ORACLE_DEGREE: w counts the module weights with
+# multiplicity, w' the distinct ones, and d is the largest degree a label
+# needs.  C(d + w', w') bounds the entries of layers 0..d, and each copy of
+# each weight passes over them once; a repeated weight adds no monomials, so
+# many copies of one weight stay cheap.  The bound is the built-in matrices'
+# value at degree 80, 4 * C(84, 4); binary forms at degree 80 need 275643.
+# Measured in process on the same host: matrices ((80,0),(80,0)) 0.35 s;
+# forms (160,0) 0.03 s; a custom GL2 x GL2 variety with the 15 nonzero 0/-1
+# weights of rank 4 takes 0.67 s at degree 8 (work 7354710), 1.4 s at 9
+# (19612560) and 3.0 s at 10 (49031400), and is refused at degree 80 in
+# 5 ms.
+MAX_ORACLE_WORK = 7_718_004
 
 # Largest number of cells a multiplicity or oracle grid may have, checked
 # from the range lengths before any label is made.  Measured on the same
@@ -153,10 +167,17 @@ def _check_rep_dim(label: object, what: str) -> None:
 
 
 def _check_oracle_degree(spec, labels: list[object], max_degree: int | None, what: str) -> None:
-    """Reject labels whose coordinate-ring degree exceeds MAX_ORACLE_DEGREE."""
+    """Reject labels whose coordinate-ring degree exceeds MAX_ORACLE_DEGREE,
+    or whose layers would take more than MAX_ORACLE_WORK."""
     degree = max((oracle_degrees(spec, label, max_degree).stop - 1 for label in labels), default=-1)
     if degree > MAX_ORACLE_DEGREE:
         raise CliError(f"{what} needs coordinate-ring degree {degree}, above the bound {MAX_ORACLE_DEGREE}")
+    weights = spec.x_module_weights
+    distinct = len(set(weights))
+    # a grid with no labels gives degree -1, where comb(-1, 0) raises for the zero module
+    work = len(weights) * comb(degree + distinct, distinct) if degree >= 0 else 0
+    if work > MAX_ORACLE_WORK:
+        raise CliError(f"{what} needs oracle work {work} at degree {degree}, above the bound {MAX_ORACLE_WORK}")
 
 
 def _parse_grid(text: str) -> dict[str, range]:

@@ -42,8 +42,6 @@ from math import gcd, lcm
 from operator import lt
 from typing import Iterable, Sequence
 
-QQ = Fraction
-
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)

@@ -58,12 +58,18 @@ def _expect_int(value: Any, path: str) -> int:
     return value
 
 
-def _expect_dim(value: Any, path: str) -> int:
-    dim = _expect_int(value, path)
+def _located(path: str, make: Callable, *args: Any) -> Any:
+    """make(*args), with a ValueError it raises reported at path: a library
+    fault in outside JSON names the JSON location that caused it."""
     try:
-        check_dim(dim)
+        return make(*args)
     except ValueError as exc:
         raise InputError(path, str(exc)) from None
+
+
+def _expect_dim(value: Any, path: str) -> int:
+    dim = _expect_int(value, path)
+    _located(path, check_dim, dim)
     return dim
 
 
@@ -126,14 +132,8 @@ def filtered_space_from_json(value: Any, path: str = "$") -> FilteredSpace:
         if idx in steps:
             raise InputError(f"{sp}.index", f"step index {idx} is repeated")
         basis = [vector_from_json(v, f"{sp}.basis[{j}]") for j, v in enumerate(_expect_list(step.get("basis"), f"{sp}.basis"))]
-        try:
-            steps[idx] = Subspace.span(dim, basis)
-        except ValueError as exc:
-            raise InputError(f"{sp}.basis", str(exc)) from None
-    try:
-        return make_filtered(dim, steps)
-    except ValueError as exc:
-        raise InputError(path, str(exc)) from None
+        steps[idx] = _located(f"{sp}.basis", Subspace.span, dim, basis)
+    return _located(path, make_filtered, dim, steps)
 
 
 def graded_module_to_json(m: GradedFreeModule) -> dict:
@@ -172,18 +172,12 @@ def _rep_reader(value: Any, path: str) -> tuple[int, Callable[[], RepData]]:
         # reported rather than raising TypeError
         if group not in list(GROUP_FACTORS):
             raise InputError(f"{path}.group", f"unknown group {group!r}")
-        try:
-            group_label_factors(group, label)
-        except ValueError as exc:
-            raise InputError(f"{path}.label", str(exc)) from None
+        _located(f"{path}.label", group_label_factors, group, label)
         return label_dim(label), lambda: rep_from_label(group, label)
     dim = _expect_dim(obj.get("dim"), f"{path}.dim")
     weights = _int_rows(obj.get("weights"), f"{path}.weights")
     ops = _matrices(obj.get("ops", []), f"{path}.ops")
-    try:
-        rep = RepData(dim, weights, ops)
-    except ValueError as exc:
-        raise InputError(path, str(exc)) from None
+    rep = _located(path, RepData, dim, weights, ops)
     return dim, lambda: rep
 
 
@@ -191,10 +185,7 @@ def group_action_from_json(value: Any, path: str = "$") -> GroupActionData:
     obj = _expect_object(value, path)
     dim = _expect_dim(obj.get("dim"), f"{path}.dim")
     mats = _matrices(obj.get("intertwiner_constraints", []), f"{path}.intertwiner_constraints")
-    try:
-        return GroupActionData(dim, mats)
-    except ValueError as exc:
-        raise InputError(path, str(exc)) from None
+    return _located(path, GroupActionData, dim, mats)
 
 
 def filt_object_reader(value: Any, path: str = "$") -> tuple[int, Callable[[], FiltObject]]:
@@ -210,10 +201,7 @@ def filt_object_reader(value: Any, path: str = "$") -> tuple[int, Callable[[], F
         filtered_space_from_json(f, f"{path}.filtrations[{i}]")
         for i, f in enumerate(_expect_list(obj.get("filtrations", []), f"{path}.filtrations"))
     )
-    try:
-        check_object_dims(dim, action, filts)
-    except ValueError as exc:
-        raise InputError(path, str(exc)) from None
+    _located(path, check_object_dims, dim, action, filts)
     return dim, lambda: FiltObject(build_rep(), action, filts)
 
 
@@ -229,10 +217,7 @@ def custom_variety_from_json(value: Any, path: str = "$") -> VarietySpec:
     group = obj.get("group", "generic")
     if group not in ["generic", *GROUP_FACTORS]:
         raise InputError(f"{path}.group", f"unknown group {group!r}")
-    try:
-        return custom_variety(rank_, cochars, weights, ops_table, group=group)
-    except ValueError as exc:
-        raise InputError(path, str(exc)) from None
+    return _located(path, custom_variety, rank_, cochars, weights, ops_table, group)
 
 
 def dumps(payload: object) -> str:

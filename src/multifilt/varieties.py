@@ -137,6 +137,8 @@ class VarietySpec:
     _trivial: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.rank < 0:
+            raise ValueError(f"torus rank {self.rank} is negative")
         factors = GROUP_FACTORS.get(self.group)
         if factors is not None and self.rank != 2 * factors:
             raise ValueError(f"group {self.group} has torus rank {2 * factors}, not {self.rank}")

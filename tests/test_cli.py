@@ -210,6 +210,53 @@ def test_oracle_degree_bound_uses_max_degree_when_sums_do_not_decide(tmp_path, c
     assert code == 0 and out.strip() == "1"
 
 
+def test_oracle_work_bound_refuses_many_weights_up_front(tmp_path, capsys):
+    import time
+    from itertools import product
+
+    from multifilt.cli import MAX_ORACLE_WORK
+
+    # every nonzero 0/-1 weight of rank 4: the weight sums do not decide the
+    # degree, so the work is 15 * C(d + 15, 15) at the --max-degree value d
+    weights = [list(w) for w in product((0, -1), repeat=4) if any(w)]
+    path = tmp_path / "fifteen.json"
+    path.write_text(json.dumps({"group_rank": 4, "group": "GL2xGL2", "cocharacters": [[1, 1, 0, -1]], "x_module_weights": weights}))
+    start = time.perf_counter()
+    done = _run_with_memory_cap(["oracle", "--variety-file", str(path), "--label", "0,0;0,0", "--max-degree", "80"])
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 2 and done.stdout == ""
+    assert "at degree 80" in done.stderr and f"bound {MAX_ORACLE_WORK}" in done.stderr
+    code, _, err = _run(capsys, ["oracle", "--variety-file", str(path), "--label", "0,0;0,0", "--max-degree", "9"])
+    assert code == 2 and "oracle work 19612560 at degree 9" in err
+    # degree 8 does 7354710, just under the bound
+    code, out, _ = _run(capsys, ["oracle", "--variety-file", str(path), "--label", "0,0;0,0", "--max-degree", "8"])
+    assert code == 0 and out.strip() == "1"
+    # the built-in queries at their largest degree stay accepted: the bound
+    # is the matrices' work at degree 80
+    code, out, _ = _run(capsys, ["oracle", "--variety", "TwoByTwoMatrices", "--label", "80,0;80,0"])
+    assert code == 0 and out.strip() == "1"
+    code, out, _ = _run(capsys, ["oracle", "--variety", "BinaryQuadraticForms", "--label", "160,0"])
+    assert code == 0 and out.strip() == "1"
+    # a module of many copies of one weight adds no monomials
+    path.write_text(json.dumps({"group_rank": 2, "group": "GL2", "cocharacters": [], "x_module_weights": [[-1, -1]] * 40}))
+    code, out, _ = _run(capsys, ["oracle", "--variety-file", str(path), "--label", "0,0", "--max-degree", "80"])
+    assert code == 0 and out.strip() == "1"
+
+
+def test_oracle_work_bound_accepts_the_largest_matrix_grid(capsys, monkeypatch):
+    import multifilt.cli
+
+    # the grid's largest degree sets its work, and it passes the bound; the
+    # answers are stubbed, since only the check before them is in question
+    monkeypatch.setattr(multifilt.cli, "oracle_multiplicity", lambda spec, label, max_degree: 0)
+    code, out, _ = _run(capsys, ["--format", "tsv", "oracle", "--variety", "TwoByTwoMatrices", "--grid", "n=0..80,m=0..0"])
+    assert code == 0 and len(out.splitlines()) == 1 + 81 * 81
+    # an empty grid needs no degree, and no work
+    monkeypatch.undo()
+    code, out, err = _run(capsys, ["--format", "tsv", "oracle", "--variety", "TwoByTwoMatrices", "--grid", "n=1..0,m=0..0"])
+    assert (code, err) == (0, "") and len(out.splitlines()) == 1
+
+
 def test_oracle_on_the_zero_module_finds_the_constants_alone(tmp_path, capsys):
     # the coordinate ring of U = 0 is the constants: the trivial label once,
     # in degree 0, at the zero weight of the torus rank
@@ -269,6 +316,14 @@ def test_custom_variety_group_must_match_rank(tmp_path, capsys):
     path.write_text(json.dumps(matrix_weights))
     code, out, _ = _run(capsys, ["oracle", "--variety-file", str(path), "--label", "1,0;1,0"])
     assert code == 0 and out.strip() == "1"
+
+
+def test_custom_variety_negative_rank_rejected_on_load(tmp_path, capsys):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"group_rank": -3, "cocharacters": [], "x_module_weights": []}))
+    for command in ("oracle", "multiplicity"):
+        code, out, err = _run(capsys, [command, "--variety-file", str(path), "--label", "0,0"])
+        assert (code, out) == (2, "") and "$: torus rank -3 is negative" in err
 
 
 def _run_with_memory_cap(args, cap_mb=512):

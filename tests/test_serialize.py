@@ -144,3 +144,35 @@ def test_list_readers_keep_their_breadcrumbs():
         with pytest.raises(serialize.InputError) as info:
             serialize.custom_variety_from_json(payload)
         assert str(info.value).startswith(message)
+    # a library fault in a well-formed payload is reported whole at the JSON
+    # path of the value that caused it, one case per reader that locates it
+    identity2 = {"dim": 2, "steps": [{"index": 0, "basis": [["1", "0"], ["0", "1"]]}]}
+    cases = [
+        (serialize.filtered_space_from_json, {"dim": -1, "steps": []}, "$.dim", "dimension -1 is negative"),
+        (
+            serialize.filtered_space_from_json,
+            {"dim": 2, "steps": [{"index": 0, "basis": [["1", "0", "0"]]}]},
+            "$.steps[0].basis",
+            "spanning vector length does not match ambient dimension",
+        ),
+        (
+            serialize.filtered_space_from_json,
+            {"dim": 2, "steps": [{"index": 0, "basis": [["1", "0"]]}, {"index": 1, "basis": [["0", "1"]]}]},
+            "$",
+            "F(0) does not contain F(1)",
+        ),
+        (serialize.filt_object_reader, {**objects, "rep": {"group": "GL2xGL2", "label": [1, 0]}}, "$.rep.label", "label [1, 0] does not fit group GL2xGL2"),
+        (serialize.filt_object_reader, {**objects, "rep": {"dim": 2, "weights": [[0, 0]], "ops": []}}, "$.rep", "need one weight per basis vector"),
+        (
+            serialize.filt_object_reader,
+            {**objects, "h_action": {"dim": 1, "intertwiner_constraints": [[["1", "0"], ["0", "1"]]]}},
+            "$.h_action",
+            "constraint matrices must be square of the object dimension",
+        ),
+        (serialize.filt_object_reader, {**objects, "filtrations": [identity2]}, "$", "filtration dimension does not match the representation"),
+        (serialize.custom_variety_from_json, {**variety, "cocharacters": [[1, 0, 0]]}, "$", "cocharacter length does not match the torus rank"),
+    ]
+    for reader, payload, path, message in cases:
+        with pytest.raises(serialize.InputError) as info:
+            reader(payload)
+        assert (str(info.value), info.value.path) == (f"{path}: {message}", path)

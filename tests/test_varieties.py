@@ -102,6 +102,14 @@ def test_custom_empty_index_set():
     assert multiplicity(rep, spec) == 3
 
 
+def test_negative_torus_rank_rejected():
+    # rejected when the spec is built, not first at a query that cannot fit it
+    for group in ("generic", "GL2"):
+        with pytest.raises(ValueError, match="torus rank -3 is negative"):
+            custom_variety(-3, [], [], group=group)
+    assert custom_variety(0, [], []).rank == 0
+
+
 def test_custom_stabilizer_table():
     table = {
         "2,0": [Mat.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 2]])],
